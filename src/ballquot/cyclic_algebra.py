@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, lru_cache
 
 from . import matrix3 as m3
 from .cyclotomic import CycElt, alpha, lam, lam_bar
@@ -60,28 +61,29 @@ class AlgElt:
         return self + (-o)
 
     def __mul__(self, o: "AlgElt") -> "AlgElt":
-        # (x0 + x1 u + x2 u^2)(y0 + y1 u + y2 u^2) with u a = a^sigma u,
-        # i.e. a u = u a^sigma, so u^j * y = y^(sigma^j) * u^j.
-        al = alpha()
+        # a u = u a^sigma, so u^i y = y^(sigma^-i) u^i and
+        # x_i u^i * y_j u^j = x_i y_j^(sigma^-i) u^(i+j), with u^3 = alpha.
         x = (self.x0, self.x1, self.x2)
         y = (o.x0, o.x1, o.x2)
-        out = [CycElt.zero(7) for _ in range(3)]
+        low = [CycElt.zero(7)] * 3
+        high = [CycElt.zero(7)] * 2
         for i in range(3):
+            if x[i].is_zero():
+                continue
             for j in range(3):
-                # a u = u a^sigma, so u^i y = y^(sigma^-i) u^i and
-                # x_i u^i * y_j u^j = x_i y_j^(sigma^-i) u^(i+j)
-                coeff = x[i] * y[j].galois(pow(4, i, 7))
-                k = i + j
-                if k >= 3:
-                    coeff = coeff * al
-                    k -= 3
-                out[k] = out[k] + coeff
-        return AlgElt(*out)
+                if y[j].is_zero():
+                    continue
+                term = x[i] * (y[j].galois(pow(4, i, 7)) if i else y[j])
+                if i + j < 3:
+                    low[i + j] = low[i + j] + term
+                else:
+                    high[i + j - 3] = high[i + j - 3] + term
+        al = alpha()
+        return AlgElt(low[0] + al * high[0], low[1] + al * high[1], low[2])
 
     def scale(self, c: CycElt | Fraction | int) -> "AlgElt":
-        if isinstance(c, CycElt):
-            return AlgElt.from_L(c) * self
-        return AlgElt(self.x0 * c, self.x1 * c, self.x2 * c)
+        """c * self for c in L or Q: c multiplies each component from the left."""
+        return AlgElt(c * self.x0, c * self.x1, c * self.x2)
 
     def is_zero(self) -> bool:
         return self.x0.is_zero() and self.x1.is_zero() and self.x2.is_zero()
@@ -101,7 +103,7 @@ class AlgElt:
         return rep
 
     def reduced_trace(self) -> CycElt:
-        return m3.trace(self.to_matrix())
+        return self.x0.trace_to_K()
 
     def reduced_norm(self) -> CycElt:
         return m3.det(self.to_matrix())
@@ -116,31 +118,33 @@ class AlgElt:
     def iota(self) -> "AlgElt":
         """Canonical involution of second kind: conj on L, u -> conj(alpha) u^2.
 
-        For x = x0 + x1 u + x2 u^2 this gives
-        conj(x0) + conj(x2^(sigma^2 applied? no)) ... computed structurally:
-        iota(x1 u) = iota(u) iota(x1) = conj(alpha) u^2 conj(x1).
+        With sigma = (zeta -> zeta^2) and conj(alpha) * alpha = 1,
+        iota(x0 + x1 u + x2 u^2)
+            = conj(x0) + conj(alpha) sigma^2(conj(x2)) u + conj(alpha) sigma(conj(x1)) u^2,
+        where sigma^2 o conj is zeta -> zeta^3 and sigma o conj is zeta -> zeta^5.
         """
         albar = alpha().conjugate()
-        term0 = AlgElt.from_L(self.x0.conjugate())
-        u = AlgElt.u()
-        u2 = u * u
-        term1 = (AlgElt.from_L(albar) * u2) * AlgElt.from_L(self.x1.conjugate())
-        term2 = AlgElt.from_L(self.x2.conjugate())
-        term2 = (AlgElt.from_L(albar) * u2) * (AlgElt.from_L(albar) * u2) * term2
-        return term0 + term1 + term2
+        return AlgElt(self.x0.conjugate(), albar * self.x2.galois(3), albar * self.x1.galois(5))
 
     def iota_b(self, b: "AlgElt") -> "AlgElt":
         """Twisted involution x -> b * iota(x) * b^{-1}; b must be iota-invariant."""
-        if b.is_zero():
-            raise NotInvertible("b must be invertible")
-        if b.iota() != b:
-            raise NotIotaInvariant("b is not iota-invariant")
-        return b * self.iota() * b.inverse()
+        return b * self.iota() * _invariant_inverse(b)
 
     def __str__(self) -> str:
         return f"({self.x0}) + ({self.x1})*u + ({self.x2})*u^2"
 
 
+@lru_cache(maxsize=16)
+def _invariant_inverse(b: AlgElt) -> AlgElt:
+    """b^-1 for a nonzero iota-invariant b, checked and computed once per b."""
+    if b.is_zero():
+        raise NotInvertible("b must be invertible")
+    if b.iota() != b:
+        raise NotIotaInvariant("b is not iota-invariant")
+    return b.inverse()
+
+
+@cache
 def u_matrix() -> m3.Mat:
     z, one = CycElt.zero(7), CycElt.one(7)
     return m3.mat([[z, z, alpha()], [one, z, z], [z, one, z]])

@@ -1,17 +1,30 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-Elements are rational coefficient vectors in the power basis
-zeta^0 .. zeta^(phi(N)-1), reduced modulo the N-th cyclotomic polynomial.
+An element is stored as integer numerators over one common denominator in
+the power basis zeta^0 .. zeta^(d-1), d = phi(N):
+
+    (num[0] + num[1]*zeta + ... + num[d-1]*zeta^(d-1)) / den
+
+always in canonical form: den > 0 and gcd(num[0], ..., num[d-1], den) = 1,
+so zero is all zeros over 1.  The power basis is an integral basis of
+Z[zeta_N], so every element has exactly one such form, and `==` and `hash`
+compare the integers directly.  `coeffs` is a cached view of the same
+element as a tuple of `Fraction`s.
+
+Products are integer schoolbook products reduced through a table of
+x^k mod Phi_N; Galois maps apply a table of zeta^(i*k) mod Phi_N; inverses
+are the product of the other Galois conjugates over the rational norm.  The
+tables are built on first use, once per modulus (and exponent).
+
 N = 7 carries the core field L = Q(zeta_7) with its quadratic subfield
 K = Q(sqrt(-7)); N = 21 is used for mixed order-3/order-7 fixed point data.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd
+from functools import cache, lru_cache
+from math import gcd, lcm
 
 import mpmath
 
@@ -21,49 +34,25 @@ class DivisionByZero(ZeroDivisionError):
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers (dense lists of Fractions, lowest degree first)
-
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _poly_trim(out)
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    while len(a) >= len(b) and _poly_trim(a):
-        if len(a) < len(b):
-            break
-        c = a[-1] * inv_lead
-        d = len(a) - len(b)
-        q[d] = c
-        for i, bi in enumerate(b):
-            a[d + i] -= c * bi
-        _poly_trim(a)
-    return _poly_trim(q), a
-
+# integer tables, one per modulus
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
-    """Coefficients of Phi_n, computed by dividing x^n - 1 by lower factors."""
-    p = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Coefficients of Phi_n, lowest degree first: x^n - 1 divided by Phi_d
+    for every proper divisor d of n."""
+    p = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            p, r = _poly_divmod(p, list(cyclotomic_polynomial(d)))
-            assert not r
+            b = cyclotomic_polynomial(d)
+            m = len(b) - 1
+            q = [0] * (len(p) - m)
+            for k in range(len(q) - 1, -1, -1):  # b is monic
+                c = q[k] = p[k + m]
+                if c:
+                    for i, bi in enumerate(b):
+                        p[k + i] -= c * bi
+            assert not any(p), "inexact division by a cyclotomic factor"
+            p = q
     return tuple(p)
 
 
@@ -72,31 +61,154 @@ def euler_phi(n: int) -> int:
     return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
 
 
+@lru_cache(maxsize=None)
+def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row k (0 <= k < n) holds the integer coordinates of x^k mod Phi_n.
+
+    x^n = 1 modulo Phi_n, so x^k for any k >= 0 is row k mod n."""
+    phi = cyclotomic_polynomial(n)
+    d = len(phi) - 1
+    row = [1] + [0] * (d - 1)
+    rows = []
+    for _ in range(n):
+        rows.append(tuple(row))
+        top = row[-1]
+        row = [0] + row[:-1]
+        if top:  # x^d = -(phi_0 + ... + phi_(d-1) x^(d-1))
+            row = [r - top * c for r, c in zip(row, phi)]
+    return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _galois_table(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Row i holds the integer coordinates of zeta^(i*k) mod Phi_n."""
+    powers = _power_table(n)
+    return tuple(powers[(i * k) % n] for i in range(euler_phi(n)))
+
+
+@lru_cache(maxsize=None)
+def _norm_tower(n: int) -> tuple[tuple[int, int], ...]:
+    """Steps (g, m) that build (Z/n)^x from {1}: g has prime order m modulo
+    the subgroup built by the steps before it."""
+    units = [k for k in range(1, n) if gcd(k, n) == 1]
+    group = {1}
+    steps = []
+    while len(group) < len(units):
+        best = None
+        for g in units:
+            m, p = 1, g
+            while p not in group:
+                p, m = p * g % n, m + 1
+            if m > 1 and (best is None or m < best[1]):
+                best = (g, m)
+        g, m = best
+        group = {h * pow(g, i, n) % n for h in group for i in range(m)}
+        steps.append((g, m))
+    return tuple(steps)
+
+
+def _exact(c) -> Fraction:
+    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+        raise TypeError(f"cyclotomic coefficients must be int or Fraction, not {type(c).__name__}")
+    return Fraction(c)
+
+
+def _over_common_denominator(coeffs) -> tuple[list[int], int]:
+    """Integer numerators over the least positive common denominator."""
+    coeffs = [_exact(c) for c in coeffs]
+    den = lcm(1, *(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _reduce(n: int, num: list[int]) -> tuple[int, ...]:
+    """Integer coordinates of sum num[k] x^k modulo Phi_n."""
+    d = euler_phi(n)
+    if len(num) <= d:
+        return tuple(num) + (0,) * (d - len(num))
+    out = [0] * n
+    for k, c in enumerate(num):
+        out[k % n] += c
+    powers = _power_table(n)
+    for k in range(d, n):
+        c = out[k]
+        if c:
+            for i, t in enumerate(powers[k]):
+                if t:
+                    out[i] += c * t
+    return tuple(out[:d])
+
+
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class CycElt:
-    """Element of Q(zeta_N) in the power basis, canonically reduced."""
+    """Element of Q(zeta_N): integer numerators `num` over `den`, canonical."""
 
-    modulus: int
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("modulus", "num", "den", "_coeffs")
 
-    def __post_init__(self):
-        assert len(self.coeffs) == euler_phi(self.modulus)
+    def __init__(self, modulus: int, coeffs) -> None:
+        num, den = _over_common_denominator(coeffs)
+        if len(num) != euler_phi(modulus):
+            raise ValueError(f"Q(zeta_{modulus}) needs {euler_phi(modulus)} coefficients, "
+                             f"got {len(num)}")
+        self._set(modulus, num, den)
+
+    @classmethod
+    def _make(cls, n: int, num, den: int = 1) -> "CycElt":
+        """The element num/den from integers, den > 0, in canonical form."""
+        self = object.__new__(cls)
+        self._set(n, num, den)
+        return self
+
+    def _set(self, n: int, num, den: int) -> None:
+        num = tuple(num)
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple(a // g for a in num)
+            den //= g
+        setter = object.__setattr__
+        setter(self, "modulus", n)
+        setter(self, "num", num)
+        setter(self, "den", den)
+        setter(self, "_coeffs", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CycElt is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("CycElt is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients in the power basis, as Fractions."""
+        c = self._coeffs
+        if c is None:
+            c = tuple(Fraction(a, self.den) for a in self.num)
+            object.__setattr__(self, "_coeffs", c)
+        return c
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CycElt):
+            return NotImplemented
+        return (self.modulus == other.modulus and self.den == other.den
+                and self.num == other.num)
+
+    def __hash__(self) -> int:
+        return hash((self.modulus, self.num, self.den))
+
+    def __repr__(self) -> str:
+        return f"CycElt(modulus={self.modulus}, coeffs={self.coeffs!r})"
 
     # -- constructors
 
     @staticmethod
-    def from_poly(n: int, poly: list[Fraction]) -> "CycElt":
-        phi = list(cyclotomic_polynomial(n))
-        _, r = _poly_divmod(_poly_trim(list(poly)), phi)
-        d = euler_phi(n)
-        r = r + [Fraction(0)] * (d - len(r))
-        return CycElt(n, tuple(r))
+    def from_poly(n: int, poly) -> "CycElt":
+        """The value of a polynomial (int or Fraction coefficients) at zeta_n."""
+        num, den = _over_common_denominator(poly)
+        return CycElt._make(n, _reduce(n, num), den)
 
     @staticmethod
     def zero(n: int) -> "CycElt":
-        return CycElt(n, tuple([Fraction(0)] * euler_phi(n)))
+        return CycElt._make(n, (0,) * euler_phi(n))
 
     @staticmethod
     def one(n: int) -> "CycElt":
@@ -104,14 +216,12 @@ class CycElt:
 
     @staticmethod
     def rational(n: int, q: Fraction | int) -> "CycElt":
-        c = [Fraction(0)] * euler_phi(n)
-        c[0] = Fraction(q)
-        return CycElt(n, tuple(c))
+        q = _exact(q)
+        return CycElt._make(n, (q.numerator,) + (0,) * (euler_phi(n) - 1), q.denominator)
 
     @staticmethod
     def zeta(n: int, power: int = 1) -> "CycElt":
-        poly = [Fraction(0)] * (power % n) + [Fraction(1)]
-        return CycElt.from_poly(n, poly)
+        return CycElt._make(n, _power_table(n)[power % n])
 
     # -- ring/field structure
 
@@ -121,56 +231,49 @@ class CycElt:
 
     def __add__(self, other: "CycElt") -> "CycElt":
         self._check(other)
-        return CycElt(self.modulus, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        da, db = self.den, other.den
+        if da == db:
+            return CycElt._make(self.modulus, map(int.__add__, self.num, other.num), da)
+        den = lcm(da, db)
+        fa, fb = den // da, den // db
+        return CycElt._make(self.modulus,
+                            (a * fa + b * fb for a, b in zip(self.num, other.num)), den)
 
     def __neg__(self) -> "CycElt":
-        return CycElt(self.modulus, tuple(-a for a in self.coeffs))
+        return CycElt._make(self.modulus, (-a for a in self.num), self.den)
 
     def __sub__(self, other: "CycElt") -> "CycElt":
         return self + (-other)
 
     def __mul__(self, other) -> "CycElt":
         if isinstance(other, (int, Fraction)):
-            return CycElt(self.modulus, tuple(a * other for a in self.coeffs))
+            return _scale(self, Fraction(other))
         self._check(other)
-        return CycElt.from_poly(self.modulus, _poly_mul(list(self.coeffs), list(other.coeffs)))
+        return _mul(self, other)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycElt":
-        """Field inverse via the extended Euclidean algorithm against Phi_N."""
+        """Field inverse: the product of the other Galois conjugates over the
+        rational norm."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        a = _poly_trim(list(self.coeffs))
-        phi = list(cyclotomic_polynomial(self.modulus))
-        r0, r1 = phi, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            qs = _poly_mul(q, s1)
-            width = max(len(s0), len(qs))
-            s0, s1 = s1, _poly_trim([
-                (s0[i] if i < len(s0) else Fraction(0)) - (qs[i] if i < len(qs) else Fraction(0))
-                for i in range(width)
-            ])
-        # r0 is the gcd, a nonzero constant since Phi_N is irreducible
-        assert len(r0) == 1
-        return CycElt.from_poly(self.modulus, [c / r0[0] for c in s0])
+        norm, cofactor = _norm_and_cofactor(self)
+        return _scale(cofactor, 1 / norm)
 
     def __truediv__(self, other: "CycElt") -> "CycElt":
         return self * other.inverse()
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"not rational: {self}")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     # -- Galois
 
@@ -179,10 +282,7 @@ class CycElt:
         n = self.modulus
         if gcd(k, n) != 1:
             raise ValueError(f"exponent {k} not invertible mod {n}")
-        poly = [Fraction(0)] * (n + euler_phi(n))
-        for i, c in enumerate(self.coeffs):
-            poly[(i * k) % n] += c
-        return CycElt.from_poly(n, poly)
+        return _galois(self, k % n)
 
     def conjugate(self) -> "CycElt":
         return self.galois(self.modulus - 1)
@@ -208,11 +308,6 @@ class CycElt:
                     coeff = iv.mpf(c.numerator) / iv.mpf(c.denominator)
                     total += coeff * iv.cos(two_pi * i / n)
             return total
-
-    def complex_value(self, prec: int = 64) -> complex:
-        with mpmath.workprec(prec):
-            z = mpmath.exp(2j * mpmath.pi / self.modulus)
-            return complex(sum(complex(c) * z ** i for i, c in enumerate(self.coeffs)))
 
     def sign(self) -> int:
         """Exact sign (-1, 0, +1) of a real cyclotomic number.
@@ -242,19 +337,9 @@ class CycElt:
         self._require_mod7()
         return self + self.galois(2) + self.galois(4)
 
-    def norm_to_K(self) -> "CycElt":
-        """Norm from L to K: a * a^sigma * a^sigma^2."""
-        self._require_mod7()
-        return self * self.galois(2) * self.galois(4)
-
     def rational_norm(self) -> Fraction:
         """Absolute norm: product over all phi(N) Galois conjugates."""
-        n = self.modulus
-        prod = CycElt.one(n)
-        for k in range(1, n):
-            if gcd(k, n) == 1:
-                prod = prod * self.galois(k)
-        return prod.as_rational()
+        return _norm_and_cofactor(self)[0]
 
     def norm_K_to_Q(self) -> Fraction:
         """Norm of an element of the subfield K down to Q (x * conj(x))."""
@@ -295,47 +380,70 @@ class CycElt:
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class GaloisAuto:
-    """The automorphism zeta_N -> zeta_N^k of Q(zeta_N)."""
+# ---------------------------------------------------------------------------
+# the arithmetic kernels, on canonical elements of one modulus
 
-    modulus: int
-    exponent: int
-
-    def __post_init__(self):
-        if gcd(self.exponent, self.modulus) != 1:
-            raise ValueError("exponent must be invertible mod N")
-
-    def __call__(self, a: CycElt) -> CycElt:
-        if a.modulus != self.modulus:
-            raise ValueError("modulus mismatch")
-        return a.galois(self.exponent)
-
-    def compose(self, other: "GaloisAuto") -> "GaloisAuto":
-        if self.modulus != other.modulus:
-            raise ValueError("modulus mismatch")
-        return GaloisAuto(self.modulus, (self.exponent * other.exponent) % self.modulus)
+def _mul(a: CycElt, b: CycElt) -> CycElt:
+    n = a.modulus
+    bn = b.num
+    prod = [0] * (2 * len(bn) - 1)
+    for i, ai in enumerate(a.num):
+        if ai:
+            for j, bj in enumerate(bn, i):
+                prod[j] += ai * bj
+    return CycElt._make(n, _reduce(n, prod), a.den * b.den)
 
 
-# distinguished elements of L = Q(zeta_7)
+def _scale(a: CycElt, q: Fraction) -> CycElt:
+    return CycElt._make(a.modulus, (x * q.numerator for x in a.num), a.den * q.denominator)
+
+
+def _galois(a: CycElt, k: int) -> CycElt:
+    out = [0] * len(a.num)
+    for c, row in zip(a.num, _galois_table(a.modulus, k)):
+        if c:
+            for i, t in enumerate(row):
+                if t:
+                    out[i] += c * t
+    return CycElt._make(a.modulus, out, a.den)
+
+
+def _norm_and_cofactor(a: CycElt) -> tuple[Fraction, CycElt]:
+    """The rational norm N(a) and c = N(a)/a, the product of the other
+    Galois conjugates, built one step of `_norm_tower` at a time: y is the
+    product of the conjugates of a over the subgroup built so far, a*c = y."""
+    n = a.modulus
+    y, c = a, None
+    for g, m in _norm_tower(n):
+        p = _galois(y, g)
+        for i in range(2, m):
+            p = _mul(p, _galois(y, pow(g, i, n)))
+        c = p if c is None else _mul(c, p)
+        y = _mul(y, p)
+    if c is None:  # Q(zeta_1) = Q(zeta_2) = Q
+        c = CycElt.one(n)
+    return y.as_rational(), c
+
+
+# distinguished elements of L = Q(zeta_7), each computed once
 
 def zeta7() -> CycElt:
     return CycElt.zeta(7)
 
 
+@cache
 def lam() -> CycElt:
     """lambda = zeta + zeta^2 + zeta^4 = (-1 + sqrt(-7)) / 2, generator of o_K."""
     z = zeta7()
     return z + z.galois(2) + z.galois(4)
 
 
+@cache
 def lam_bar() -> CycElt:
     return lam().conjugate()
 
 
+@cache
 def alpha() -> CycElt:
     """alpha = lambda / lambda_bar, the cyclic-algebra parameter."""
     return lam() / lam_bar()
-
-
-SIGMA = GaloisAuto(7, 2)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .cyclotomic import CycElt
 
 Mat = tuple[tuple[CycElt, ...], ...]
@@ -32,10 +30,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
                  for j in range(3)] for i in range(3)])
 
 
-def mat_scale(a: Mat, c) -> Mat:
-    return mat([[a[i][j] * c for j in range(3)] for i in range(3)])
-
-
 def trace(a: Mat) -> CycElt:
     return a[0][0] + a[1][1] + a[2][2]
 
@@ -62,10 +56,6 @@ def inverse(a: Mat) -> Mat:
             cof[j][i] = minor * ((-1) ** (i + j))  # transposed cofactor
     dinv = d.inverse()
     return mat([[cof[i][j] * dinv for j in range(3)] for i in range(3)])
-
-
-def apply_entrywise(a: Mat, f) -> Mat:
-    return mat([[f(a[i][j]) for j in range(3)] for i in range(3)])
 
 
 def char_poly(a: Mat) -> tuple[CycElt, CycElt, CycElt]:

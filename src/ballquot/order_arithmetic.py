@@ -21,11 +21,11 @@ torsion-freeness arithmetic for the principal congruence subgroup.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 
-from . import matrix3 as m3
 from .cyclotomic import CycElt, lam, lam_bar
 from .cyclic_algebra import AlgElt, NotIotaInvariant, b_element
 
@@ -45,10 +45,14 @@ def K_coords(a: CycElt) -> tuple[Fraction, Fraction]:
     # coefficient pattern (0,1,1,0,1,0) in the power basis of Q(zeta_7).
     q = a.coeffs[1]
     p = a.coeffs[0]
-    check = CycElt.rational(7, p) + lam() * q
-    if check != a:
+    if _K_elt(p, q) != a:
         raise AssertionError("K coordinate extraction failed")
     return p, q
+
+
+def _K_elt(p: Fraction, q: Fraction) -> CycElt:
+    """p + q*lambda, with lambda = zeta + zeta^2 + zeta^4."""
+    return CycElt(7, (p, q, q, 0, q, 0))
 
 
 def is_K_integral(a: CycElt) -> bool:
@@ -61,9 +65,6 @@ def lambda_valuation(a: CycElt) -> int:
     if a.is_zero():
         raise ValueError("valuation of zero")
     p, q = K_coords(a)
-    scale = (p.denominator * q.denominator) // 1
-    import math
-
     scale = math.lcm(p.denominator, q.denominator)
     x = a * Fraction(scale)
     v = 0
@@ -86,33 +87,10 @@ def lambda_valuation(a: CycElt) -> int:
 
 # ---------------------------------------------------------------------------
 
-def L_coords_over_K(x: CycElt) -> tuple[CycElt, CycElt, CycElt]:
-    """Write x in L as a0 + a1*zeta + a2*zeta^2 with ai in K.
-
-    {1, zeta, zeta^2} is an o_K-basis of o_L (unimodular over Z against the
-    power basis), so x is o_L-integral iff all ai are o_K-integral.
-    """
-    # Solve a 6x6 rational linear system in the unknown rational coordinates
-    # of ai = pi + qi*lambda.
-    basis = []
-    z = CycElt.zeta(7)
-    for i in range(3):
-        zi = CycElt.zeta(7, i)
-        basis.append(zi)            # coefficient of p_i
-        basis.append(lam() * zi)    # coefficient of q_i
-    rows = [[b.coeffs[r] for b in basis] for r in range(6)]
-    rhs = [x.coeffs[r] for r in range(6)]
-    sol = _solve_linear(rows, rhs)
-    out = []
-    for i in range(3):
-        p, q = sol[2 * i], sol[2 * i + 1]
-        out.append(CycElt.rational(7, p) + lam() * q)
-    return tuple(out)
-
-
-def _solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+def _inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Inverse of a nonsingular square rational matrix, by Gauss-Jordan elimination."""
     n = len(rows)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
+    a = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
     for col in range(n):
         piv = next(r for r in range(col, n) if a[r][col] != 0)
         a[col], a[piv] = a[piv], a[col]
@@ -122,7 +100,7 @@ def _solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fract
             if r != col and a[r][col] != 0:
                 f = a[r][col]
                 a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
+    return [row[n:] for row in a]
 
 
 @dataclass(frozen=True)
@@ -155,45 +133,30 @@ class OrderBasis:
         b_inv = b.inverse()
         return OrderBasis(tuple(b_inv * e * b for e in OrderBasis.standard().elements))
 
-    @staticmethod
-    def unscaled_u_blocks() -> "OrderBasis":
-        """Diagnostic order o_L + o_L*u + o_L*u^2 (u-blocks not scaled by lambda_bar)."""
-        elts = []
-        for block in range(3):
-            for j in range(3):
-                comps = [CycElt.zero(7)] * 3
-                comps[block] = CycElt.zeta(7, j)
-                elts.append(AlgElt(*comps))
-        return OrderBasis(tuple(elts))
+    @cached_property
+    def _coordinate_solver(self) -> tuple[list[list[int]], int]:
+        """The inverse of the 18x18 rational system behind `coordinates`, as
+        integer rows over one common denominator.
+
+        Column 2k (2k+1) of the system holds the 18 rational coordinates of
+        e_k (lambda*e_k), so the solution pairs are (p_k, q_k) with
+        x = sum_k (p_k + q_k*lambda) * e_k."""
+        cols = []
+        for e in self.elements:
+            for c in (e, e.scale(lam())):
+                cols.append(c.x0.coeffs + c.x1.coeffs + c.x2.coeffs)
+        inv = _inverse([[col[r] for col in cols] for r in range(18)])
+        den = math.lcm(*(v.denominator for row in inv for v in row))
+        return [[int(v * den) for v in row] for row in inv], den
 
     def coordinates(self, x: AlgElt) -> list[CycElt]:
         """K-coordinates of x in this basis (9 entries, elements of K)."""
-        # Each algebra component is an L-element; divide out the block scaling
-        # of the basis and express over the K-basis {1, zeta, zeta^2}.
-        # General solve: 18x18 rational system.
-        rows = []
-        basis_vecs = []
-        for e in self.elements:
-            vec = list(e.x0.coeffs) + list(e.x1.coeffs) + list(e.x2.coeffs)
-            basis_vecs.append(vec)
-        # unknowns: for each basis element, rational pair (p, q) with
-        # coefficient p + q*lambda
-        lam_vecs = []
-        for e in self.elements:
-            scaled = e.scale(lam())
-            lam_vecs.append(list(scaled.x0.coeffs) + list(scaled.x1.coeffs) + list(scaled.x2.coeffs))
-        cols = []
-        for bv, lv in zip(basis_vecs, lam_vecs):
-            cols.append(bv)
-            cols.append(lv)
-        rows = [[cols[c][r] for c in range(18)] for r in range(18)]
-        rhs = list(x.x0.coeffs) + list(x.x1.coeffs) + list(x.x2.coeffs)
-        sol = _solve_linear(rows, rhs)
-        out = []
-        for i in range(9):
-            p, q = sol[2 * i], sol[2 * i + 1]
-            out.append(CycElt.rational(7, p) + lam() * q)
-        return out
+        rows, den = self._coordinate_solver
+        comps = (x.x0, x.x1, x.x2)
+        common = math.lcm(*(c.den for c in comps))
+        rhs = [a * (common // c.den) for c in comps for a in c.num]
+        sol = [Fraction(sum(m * v for m, v in zip(row, rhs)), den * common) for row in rows]
+        return [_K_elt(sol[2 * i], sol[2 * i + 1]) for i in range(9)]
 
 
 def gram_matrix(basis: OrderBasis) -> list[list[CycElt]]:
@@ -337,8 +300,6 @@ def iota_b_invariance_report(basis: OrderBasis | None = None,
     adjugate lie in the order (which makes conjugation by b harmless at
     every prime not dividing nrd(b)).  The order defaults to
     `OrderBasis.iota_b_stable()`."""
-    import math
-
     ob = basis if basis is not None else OrderBasis.iota_b_stable()
     belt = b if b is not None else b_element()
     failing: list[int] = []

@@ -135,7 +135,12 @@ def run_all(config_path: str | None = None) -> VerificationReport:
         raise ConfigError("local_factors must be nonempty")
     vol = lf.covolume(lf.VolumeInput(7, 1, 1, z2, lval, local))
     r.add("covolume", "covolume of the principal arithmetic group", "3/7", _frac(vol))
-    idx = int(cfg["indices"]["congruence"])
+    try:
+        idx = cfg["indices"]["congruence"]
+    except (KeyError, TypeError) as e:
+        raise ConfigError(f"config is missing indices.congruence: {e!r}") from e
+    if isinstance(idx, bool) or not isinstance(idx, int):
+        raise ConfigError(f"indices.congruence must be an integer, got {idx!r}")
     c2 = lf.euler_number_of_cover(vol, idx)
     r.add("euler_number_cover", "Euler number of the congruence cover", "3", _frac(c2))
 

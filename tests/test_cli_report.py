@@ -59,6 +59,19 @@ def test_missing_local_factors_is_a_config_error(tmp_path):
         rpt.run_all(str(p))
 
 
+@pytest.mark.parametrize("congruence", [None, "7", 7.0, True, [7]])
+def test_missing_or_non_integer_congruence_index_is_a_config_error(tmp_path, congruence):
+    cfg = rpt.load_config()
+    if congruence is None:
+        del cfg["indices"]["congruence"]
+    else:
+        cfg["indices"]["congruence"] = congruence
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    with pytest.raises(rpt.ConfigError):
+        rpt.run_all(str(p))
+
+
 def test_cli_volume(capsys):
     assert main(["volume"]) == 0
     assert capsys.readouterr().out.strip() == "3/7"

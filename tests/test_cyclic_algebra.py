@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from ballquot import matrix3 as m3
-from ballquot.cyclic_algebra import (AlgElt, NotInvertible, b_element,
+from ballquot.cyclic_algebra import (AlgElt, NotInvertible, NotIotaInvariant, b_element,
                                      from_matrix, is_division_algebra,
                                      u_matrix)
 from ballquot.cyclotomic import CycElt, alpha, lam, lam_bar, zeta7
@@ -84,3 +84,18 @@ def test_u_matrix_shape():
     U = u_matrix()
     assert U[1][0].as_rational() == 1 and U[2][1].as_rational() == 1
     assert U[0][2] == alpha()
+
+
+def test_scale_is_left_multiplication():
+    x = AlgElt(zeta7(), lam(), lam_bar())
+    for c in (zeta7() + CycElt.rational(7, 2), lam_bar()):
+        assert x.scale(c) == AlgElt.from_L(c) * x
+    assert x.scale(Fraction(1, 3)) == AlgElt.from_L(CycElt.rational(7, Fraction(1, 3))) * x
+
+
+def test_twisted_involution_rejects_a_bad_b():
+    x = AlgElt(zeta7(), lam(), lam_bar())
+    with pytest.raises(NotInvertible):
+        x.iota_b(AlgElt.zero())
+    with pytest.raises(NotIotaInvariant):
+        x.iota_b(AlgElt.u())

@@ -69,3 +69,65 @@ def test_sign_and_interval():
     real_part = lam() + lam_bar()
     box = real_part.interval(64)
     assert box.a <= -1 <= box.b
+
+
+# ---------------------------------------------------------------------------
+# exact types at construction
+
+def test_int_polynomial_stays_exact():
+    y = CycElt.from_poly(7, [1, 2, 3])
+    inv = y.inverse()
+    assert y * inv == CycElt.one(7)
+    assert all(type(c) is Fraction for c in y.coeffs + inv.coeffs)
+
+
+def test_float_coefficient_is_rejected():
+    with pytest.raises(TypeError):
+        CycElt(7, (0.5, 0, 0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("bad", [0.5, True, "1", None, 1j])
+def test_only_int_and_fraction_coefficients(bad):
+    with pytest.raises(TypeError):
+        CycElt(7, (bad, 0, 0, 0, 0, 0))
+    with pytest.raises(TypeError):
+        CycElt.from_poly(7, [1, bad])
+    with pytest.raises(TypeError):
+        CycElt.rational(7, bad)
+
+
+def test_wrong_coefficient_count_is_a_value_error():
+    with pytest.raises(ValueError):
+        CycElt(7, (1, 2, 3))
+    with pytest.raises(ValueError):
+        CycElt(21, (0,) * 6)
+
+
+def test_equal_elements_from_different_paths_are_equal_and_hash_equal():
+    half = CycElt.rational(7, Fraction(1, 2))
+    pairs = [
+        (CycElt(7, (Fraction(2, 4), 0, 0, 0, 0, 0)), half),
+        (CycElt(7, (Fraction(3, 6), Fraction(0, 5), 0, 0, 0, 0)), half),
+        (CycElt.from_poly(7, [0] * 7 + [1]), CycElt.one(7)),          # x^7 = 1
+        (CycElt.from_poly(7, [1] * 7), CycElt.zero(7)),                # Phi_7 itself
+        (CycElt.from_poly(7, [0] * 6 + [1]), CycElt(7, (-1,) * 6)),   # zeta^6
+        (CycElt.from_poly(7, [Fraction(1, 3)] * 8), CycElt.rational(7, Fraction(1, 3))),  # (Phi_7 + x^7)/3
+        (CycElt.zeta(21, 12), CycElt.zeta(21, -9)),
+        (CycElt.from_poly(21, [0] * 21 + [Fraction(-4, 6)]), CycElt.rational(21, Fraction(-2, 3))),
+        (lam() * lam_bar() * Fraction(1, 2), CycElt.one(7)),
+        (zeta7() - zeta7(), CycElt.zero(7)),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+        assert a.coeffs == b.coeffs
+    assert CycElt.zero(7) != CycElt.zero(21)
+
+
+def test_elements_are_immutable():
+    x = zeta7()
+    with pytest.raises(AttributeError):
+        x.modulus = 21
+    with pytest.raises(AttributeError):
+        x.den = 2
+    with pytest.raises(AttributeError):
+        del x.num

@@ -117,6 +117,41 @@ def test_plain_involution_preserves_the_order():
         assert all(oa.is_K_integral(c) for c in coords)
 
 
+def _fresh_coordinates(basis: oa.OrderBasis, x: AlgElt) -> list[CycElt]:
+    """The definition `coordinates` caches: eliminate the 18x18 rational
+    system with columns e_k, lambda*e_k and right-hand side x from scratch."""
+    def vec(a: AlgElt) -> list[Fraction]:
+        return list(a.x0.coeffs + a.x1.coeffs + a.x2.coeffs)
+
+    cols = [v for e in basis.elements for v in (vec(e), vec(e.scale(lam())))]
+    rows = [[c[r] for c in cols] + [vec(x)[r]] for r in range(18)]
+    for col in range(18):
+        piv = next(r for r in range(col, 18) if rows[r][col] != 0)
+        rows[col], rows[piv] = rows[piv], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(18):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[col])]
+    sol = [row[18] for row in rows]
+    return [CycElt.rational(7, sol[2 * k]) + lam() * sol[2 * k + 1] for k in range(9)]
+
+
+def test_cached_coordinates_match_a_fresh_elimination_and_rebuild_x():
+    b = b_element()
+    x = AlgElt(zeta7(), lam(), CycElt.rational(7, Fraction(5, 3)))
+    for basis in (oa.OrderBasis.standard(), oa.OrderBasis.iota_b_stable()):
+        e = basis.elements
+        for y in (e[0] * e[4], e[8] * e[5] + e[1], x, x.iota_b(b), b.inverse()):
+            coords = basis.coordinates(y)
+            assert coords == _fresh_coordinates(basis, y)
+            assert all(c.in_K() for c in coords)
+            rebuilt = AlgElt.zero()
+            for c, ek in zip(coords, e):
+                rebuilt = rebuilt + ek.scale(c)
+            assert rebuilt == y
+
+
 def test_congruence_index():
     assert oa.congruence_index(2, 3) == 7
     assert oa.congruence_index(3, 3) == 13

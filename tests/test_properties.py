@@ -3,13 +3,14 @@
 from fractions import Fraction
 from math import gcd
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ballquot import matrix3 as m3
 from ballquot import singularities as sg
 from ballquot.cyclic_algebra import AlgElt, b_element
-from ballquot.cyclotomic import CycElt
+from ballquot.cyclotomic import CycElt, alpha
 from ballquot.hermitian import H_b, HermMatrix
 from ballquot.symreal import SymbolicReal
 
@@ -82,6 +83,71 @@ def test_twisted_involution_is_involutive(x):
 def test_reduced_norm_is_multiplicative(x, y):
     assert (x * y).reduced_norm() == x.reduced_norm() * y.reduced_norm()
     assert (x + y).reduced_trace() == x.reduced_trace() + y.reduced_trace()
+
+
+# ---------------------------------------------------------------------------
+# the integer field kernels against the definition they replace: Fraction
+# polynomials reduced by long division by Phi_n
+
+PHI = {3: (1, 1, 1), 21: (1, -1, 0, 1, -1, 0, 1, 0, -1, 1, 0, -1, 1)}
+
+
+def ref_reduce(n, poly):
+    phi = PHI[n]
+    d = len(phi) - 1
+    p = [Fraction(c) for c in poly] + [Fraction(0)] * d
+    for k in range(len(p) - 1, d - 1, -1):  # Phi_n is monic
+        c = p[k]
+        for i, f in enumerate(phi):
+            p[k - d + i] -= c * f
+    return tuple(p[:d])
+
+
+def ref_mul(n, a, b):
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return ref_reduce(n, prod)
+
+
+def ref_galois(n, a, k):
+    poly = [Fraction(0)] * n
+    for i, c in enumerate(a):
+        poly[i * k % n] += c
+    return ref_reduce(n, poly)
+
+
+def elements_of(n):
+    return st.lists(fractions, min_size=len(PHI[n]) - 1, max_size=len(PHI[n]) - 1).map(
+        lambda c: CycElt(n, tuple(c)))
+
+
+@pytest.mark.parametrize("n", sorted(PHI))
+@CASES
+@given(data=st.data())
+def test_field_kernels_match_the_polynomial_definition(n, data):
+    a, b = data.draw(elements_of(n)), data.draw(elements_of(n))
+    assert (a * b).coeffs == ref_mul(n, a.coeffs, b.coeffs)
+    for k in range(1, n):
+        if gcd(k, n) == 1:
+            assert a.galois(k).coeffs == ref_galois(n, a.coeffs, k)
+    assume(not a.is_zero())
+    one = (Fraction(1),) + (Fraction(0),) * (len(PHI[n]) - 2)
+    assert ref_mul(n, a.coeffs, a.inverse().coeffs) == one
+
+
+@CASES
+@given(algebra_elements())
+def test_closed_form_involution_matches_its_definition(x):
+    # iota(x0 + x1 u + x2 u^2) = conj(x0) + iota(u) conj(x1) + iota(u)^2 conj(x2),
+    # iota(u) = conj(alpha) u^2
+    iota_u = AlgElt.from_L(alpha().conjugate()) * AlgElt.u() * AlgElt.u()
+    expect = (AlgElt.from_L(x.x0.conjugate())
+              + iota_u * AlgElt.from_L(x.x1.conjugate())
+              + iota_u * iota_u * AlgElt.from_L(x.x2.conjugate()))
+    assert x.iota() == expect
+    assert x.reduced_trace() == m3.trace(x.to_matrix())
 
 
 small_ints = st.integers(min_value=-2, max_value=2)
