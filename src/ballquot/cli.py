@@ -19,12 +19,9 @@ from . import classifier as cl
 
 
 def _cmd_volume(args) -> int:
-    cfg = rpt.load_config(args.config)
-    local = {k: Fraction(v) for k, v in cfg["local_factors"].items()}
     chi = lf.DirichletCharacter.kronecker(-7)
-    vol = lf.covolume(lf.VolumeInput(7, 1, 1, lf.riemann_zeta(2),
-                                     lf.dirichlet_L_value(3, chi), local))
-    print(vol)
+    print(rpt.covolume(rpt.load_config(args.config), lf.riemann_zeta(2),
+                       lf.dirichlet_L_value(3, chi)))
     return 0
 
 

@@ -264,8 +264,16 @@ class CycElt:
     def __truediv__(self, other: "CycElt") -> "CycElt":
         return self * other.inverse()
 
+    def __rtruediv__(self, other: int | Fraction) -> "CycElt":
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return self.inverse() * other
+
     def is_zero(self) -> bool:
         return not any(self.num)
+
+    def __bool__(self) -> bool:
+        return any(self.num)
 
     def is_rational(self) -> bool:
         return not any(self.num[1:])
@@ -356,14 +364,7 @@ class CycElt:
         if self.modulus != 7:
             raise ValueError("operation defined for Q(zeta_7) only")
 
-    # -- serialization / display
-
-    def to_json(self) -> dict:
-        return {"modulus": self.modulus, "coeffs": [str(c) for c in self.coeffs]}
-
-    @staticmethod
-    def from_json(data: dict) -> "CycElt":
-        return CycElt(int(data["modulus"]), tuple(Fraction(c) for c in data["coeffs"]))
+    # -- display
 
     def __str__(self) -> str:
         if self.is_zero():

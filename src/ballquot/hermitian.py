@@ -23,10 +23,6 @@ class Signature:
     negatives: int
     zeros: int
 
-    def reversed_convention(self) -> tuple[int, int]:
-        """The (negatives, positives) ordering used in some references, e.g. (2,1)."""
-        return (self.negatives, self.positives)
-
 
 @dataclass(frozen=True)
 class HermMatrix:
@@ -44,26 +40,10 @@ class HermMatrix:
         return HermMatrix(b.to_matrix())
 
     def signature(self) -> Signature:
-        """Exact signature via leading principal minors, with a Descartes
-        fallback on the characteristic polynomial when a minor vanishes."""
-        a = self.entries
-        minors = [
-            a[0][0],
-            a[0][0] * a[1][1] - a[0][1] * a[1][0],
-            m3.det(a),
-        ]
-        signs = [mi.sign() for mi in minors]
-        if 0 not in signs:
-            # Jacobi: number of negative eigenvalues = sign changes in
-            # (1, d1, d2, d3)
-            seq = [1] + signs
-            neg = sum(1 for i in range(3) if seq[i] * seq[i + 1] < 0)
-            return Signature(3 - neg, neg, 0)
-        return self._signature_descartes()
+        """Exact signature by Descartes' rule on the characteristic polynomial.
 
-    def _signature_descartes(self) -> Signature:
-        # char poly x^3 + c2 x^2 + c1 x + c0 has only real roots (hermitian),
-        # so Descartes' rule is exact on each of p(x) and p(-x).
+        The char poly x^3 + c2 x^2 + c1 x + c0 of a hermitian matrix has only
+        real roots, so the rule is exact on each of p(x) and p(-x)."""
         c2, c1, c0 = m3.char_poly(self.entries)
         coeffs = [CycElt.one(7), c2, c1, c0]
         signs = [c.sign() for c in coeffs]

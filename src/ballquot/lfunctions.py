@@ -103,10 +103,6 @@ class DirichletCharacter:
                 raise ValueError("values must be +-1 on units")
 
     @staticmethod
-    def trivial() -> "DirichletCharacter":
-        return DirichletCharacter(1, {})
-
-    @staticmethod
     def kronecker(fundamental_discriminant: int) -> "DirichletCharacter":
         d = fundamental_discriminant
         f = abs(d)

@@ -1,6 +1,14 @@
-"""Small exact 3x3 matrix helpers over Q(zeta_N)."""
+"""Exact matrices: 3x3 closed forms over Q(zeta_N), and the one n x n elimination.
+
+`det`, `inverse` and `char_poly` are formulas for 3x3 matrices of `CycElt`s
+and need at most one field inverse.  `gauss_jordan` is the only elimination
+in the package: it serves every larger exact system, over `Fraction` or
+`CycElt` entries alike.
+"""
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .cyclotomic import CycElt
 
@@ -9,16 +17,6 @@ Mat = tuple[tuple[CycElt, ...], ...]
 
 def mat(rows) -> Mat:
     return tuple(tuple(r) for r in rows)
-
-
-def identity(n_mod: int) -> Mat:
-    one, zero = CycElt.one(n_mod), CycElt.zero(n_mod)
-    return mat([[one if i == j else zero for j in range(3)] for i in range(3)])
-
-
-def scalar(n_mod: int, a: CycElt) -> Mat:
-    zero = CycElt.zero(n_mod)
-    return mat([[a if i == j else zero for j in range(3)] for i in range(3)])
 
 
 def mat_add(a: Mat, b: Mat) -> Mat:
@@ -67,3 +65,38 @@ def char_poly(a: Mat) -> tuple[CycElt, CycElt, CycElt]:
         for j in range(i + 1, 3):
             m = m + (a[i][i] * a[j][j] - a[i][j] * a[j][i])
     return (-t, m, -det(a))
+
+
+class SingularMatrix(ZeroDivisionError):
+    pass
+
+
+def gauss_jordan(rows):
+    """Gauss-Jordan reduction of an n x m matrix (m >= n) on its leading n x n block
+    (Cohen, A Course in Computational Algebraic Number Theory, 2.2).
+
+    Returns (det, reduced): det is the determinant of the leading block.  When
+    det is nonzero the reduced rows hold the identity there, so reducing
+    [A | B] gives [I | A^-1 B]; when det is zero they are only partly reduced.
+    Entries are int, Fraction or CycElt: anything with +, -, *, truth meaning
+    nonzero, and an exact 1 / x."""
+    a = [list(row) for row in rows]
+    n = len(a)
+    det = 1
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
+            return a[col][col], a  # the zero of the entries' field
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        p = a[col][col]
+        det = det * p
+        inv = Fraction(1) / p  # a Fraction, not a float, for an int pivot
+        # the pivot row is zero left of col, so only columns col.. change
+        pivot_row = a[col][col:] = [v * inv for v in a[col][col:]]
+        for r in range(n):
+            f = a[r][col]
+            if r != col and f:
+                a[r][col:] = [v - f * w for v, w in zip(a[r][col:], pivot_row)]
+    return det, a

@@ -26,8 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 
+from . import matrix3 as m3
 from .cyclotomic import CycElt, lam, lam_bar
-from .cyclic_algebra import AlgElt, NotIotaInvariant, b_element
+from .cyclic_algebra import AlgElt, b_element
 
 
 class BasisNotIntegral(ValueError):
@@ -87,22 +88,6 @@ def lambda_valuation(a: CycElt) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Inverse of a nonsingular square rational matrix, by Gauss-Jordan elimination."""
-    n = len(rows)
-    a = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [row[n:] for row in a]
-
-
 @dataclass(frozen=True)
 class OrderBasis:
     """An o_K-basis (9 elements) of an order in D."""
@@ -145,7 +130,12 @@ class OrderBasis:
         for e in self.elements:
             for c in (e, e.scale(lam())):
                 cols.append(c.x0.coeffs + c.x1.coeffs + c.x2.coeffs)
-        inv = _inverse([[col[r] for col in cols] for r in range(18)])
+        det, reduced = m3.gauss_jordan([[col[r] for col in cols]
+                                        + [Fraction(int(r == j)) for j in range(18)]
+                                        for r in range(18)])
+        if not det:
+            raise m3.SingularMatrix("the basis is not linearly independent over K")
+        inv = [row[18:] for row in reduced]
         den = math.lcm(*(v.denominator for row in inv for v in row))
         return [[int(v * den) for v in row] for row in inv], den
 
@@ -173,27 +163,6 @@ def gram_matrix(basis: OrderBasis) -> list[list[CycElt]]:
     return g
 
 
-def _det_over_field(a: list[list[CycElt]]) -> CycElt:
-    """Fraction-full Gaussian elimination determinant over Q(zeta_7)."""
-    n = len(a)
-    a = [row[:] for row in a]
-    det = CycElt.one(7)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
-        if piv is None:
-            return CycElt.zero(7)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det = det * a[col][col]
-        inv = a[col][col].inverse()
-        for r in range(col + 1, n):
-            if not a[r][col].is_zero():
-                f = a[r][col] * inv
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return det
-
-
 def _factor_int(n: int) -> dict[int, int]:
     factors: dict[int, int] = {}
     n = abs(n)
@@ -218,8 +187,7 @@ def discriminant(basis: OrderBasis | None = None) -> dict:
     whether the quotient by 7^3 generates (2)^6.
     """
     b = basis if basis is not None else OrderBasis.standard()
-    g = gram_matrix(b)
-    d = _det_over_field(g)
+    d, _ = m3.gauss_jordan(gram_matrix(b))
     result: dict = {"determinant": d}
     if d.is_rational():
         val = d.as_rational()
@@ -249,30 +217,12 @@ def discriminant(basis: OrderBasis | None = None) -> dict:
     return result
 
 
-def split_matrix_order_discriminant() -> dict:
-    """Gram determinant for the standard basis of the full 3x3 matrix order.
-
-    Diagnostic baseline: the matrix units e_ij satisfy
-    tr(e_ij e_kl) = [j==k][i==l], so the Gram matrix is a permutation matrix
-    and the discriminant is the unit ideal."""
-    idx = [(i, j) for i in range(3) for j in range(3)]
-    g = [[Fraction(1) if (a[1] == b[0] and a[0] == b[1]) else Fraction(0)
-          for b in idx] for a in idx]
-    rows = [row[:] for row in g]
-    det = Fraction(1)
-    n = 9
-    for col in range(n):
-        piv = next(r for r in range(col, n) if rows[r][col] != 0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        for r in range(col + 1, n):
-            if rows[r][col] != 0:
-                f = rows[r][col] / rows[col][col]
-                rows[r] = [v - f * w for v, w in zip(rows[r], rows[col])]
-    return {"abs_value": abs(int(det)), "factorization": _factor_int(int(det)),
-            "is_unit": abs(det) == 1}
+def _iota_b_denominators(ob: OrderBasis, b: AlgElt):
+    """For each basis element x, in order, the common denominator of the
+    K-coordinates of iota_b(x)."""
+    for x in ob.elements:
+        coords = ob.coordinates(x.iota_b(b))
+        yield math.lcm(*(v.denominator for c in coords for v in K_coords(c)))
 
 
 def is_iota_b_invariant(basis: OrderBasis | None = None, b: AlgElt | None = None) -> bool:
@@ -281,14 +231,7 @@ def is_iota_b_invariant(basis: OrderBasis | None = None, b: AlgElt | None = None
     The order defaults to `OrderBasis.iota_b_stable()`."""
     ob = basis if basis is not None else OrderBasis.iota_b_stable()
     belt = b if b is not None else b_element()
-    if belt.iota() != belt:
-        raise NotIotaInvariant("b is not iota-invariant")
-    for x in ob.elements:
-        y = x.iota_b(belt)
-        coords = ob.coordinates(y)
-        if not all(is_K_integral(c) for c in coords):
-            return False
-    return True
+    return all(d == 1 for d in _iota_b_denominators(ob, belt))
 
 
 def iota_b_invariance_report(basis: OrderBasis | None = None,
@@ -304,17 +247,10 @@ def iota_b_invariance_report(basis: OrderBasis | None = None,
     belt = b if b is not None else b_element()
     failing: list[int] = []
     denom_primes: set[int] = set()
-    for k, x in enumerate(ob.elements):
-        y = x.iota_b(belt)
-        bad = False
-        for c in ob.coordinates(y):
-            p, q = K_coords(c)
-            d = math.lcm(p.denominator, q.denominator)
-            if d != 1:
-                bad = True
-                denom_primes.update(_factor_int(d))
-        if bad:
+    for k, d in enumerate(_iota_b_denominators(ob, belt)):
+        if d != 1:
             failing.append(k)
+            denom_primes.update(_factor_int(d))
 
     def in_order(x: AlgElt) -> bool:
         return all(is_K_integral(c) for c in ob.coordinates(x))

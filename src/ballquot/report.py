@@ -32,15 +32,14 @@ class ConfigError(ValueError):
 
 
 DEFAULT_CONFIG = {
-    "algebra": {"cyclotomic_modulus": 7, "alpha": "lambda/lambda_bar"},
     "local_factors": {"2": "3", "7": "1"},
-    "indices": {"congruence": 7, "normalizer": 3},
-    "datasets": {"gamma": "classes_gamma.json",
-                 "gamma_tilde": "classes_gamma_tilde.json"},
+    "indices": {"congruence": 7},
 }
 
 
 def load_config(path: str | None = None) -> dict:
+    """The default config, or the one at `path`, which must have exactly the
+    sections of `DEFAULT_CONFIG` and the same `indices` keys."""
     if path is None:
         return json.loads(json.dumps(DEFAULT_CONFIG))
     try:
@@ -50,10 +49,35 @@ def load_config(path: str | None = None) -> dict:
         raise ConfigError(f"cannot read config: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
-    for key in ("algebra", "local_factors", "indices", "datasets"):
-        if key not in cfg:
-            raise ConfigError(f"config is missing the '{key}' section")
+    _check_keys("config", cfg, DEFAULT_CONFIG)
+    _check_keys("indices", cfg["indices"], DEFAULT_CONFIG["indices"])
     return cfg
+
+
+def _check_keys(where: str, got, known: dict) -> None:
+    if not isinstance(got, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown, missing = sorted(set(got) - set(known)), sorted(set(known) - set(got))
+    if unknown or missing:
+        raise ConfigError(f"{where}: unknown keys {unknown}, missing keys {missing}")
+
+
+def covolume(cfg: dict, zeta_2: SymbolicReal, l_value: SymbolicReal) -> Fraction:
+    """Covolume of the principal arithmetic group from zeta(2), L(3, chi_-7)
+    and the config's `local_factors`: a nonempty mapping whose values are
+    integers or strings of exact rationals."""
+    factors = cfg["local_factors"]
+    if not isinstance(factors, dict) or not factors:
+        raise ConfigError("local_factors must be a nonempty JSON object")
+    local = {}
+    for prime, v in factors.items():
+        if isinstance(v, bool) or not isinstance(v, (int, str)):
+            raise ConfigError(f"local factor at {prime} must be an integer or a string, got {v!r}")
+        try:
+            local[prime] = Fraction(v)
+        except (ValueError, ZeroDivisionError) as e:
+            raise ConfigError(f"bad local factor at {prime}: {e}") from e
+    return lf.covolume(lf.VolumeInput(7, 1, 1, zeta_2, l_value, local))
 
 
 @dataclass
@@ -127,18 +151,9 @@ def run_all(config_path: str | None = None) -> VerificationReport:
     z2 = lf.riemann_zeta(2)
     r.add("zeta_2", "zeta value at 2", "1/6 * pi^2", str(z2))
 
-    try:
-        local = {k: Fraction(v) for k, v in cfg["local_factors"].items()}
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad local_factors: {e}") from e
-    if not local:
-        raise ConfigError("local_factors must be nonempty")
-    vol = lf.covolume(lf.VolumeInput(7, 1, 1, z2, lval, local))
+    vol = covolume(cfg, z2, lval)
     r.add("covolume", "covolume of the principal arithmetic group", "3/7", _frac(vol))
-    try:
-        idx = cfg["indices"]["congruence"]
-    except (KeyError, TypeError) as e:
-        raise ConfigError(f"config is missing indices.congruence: {e!r}") from e
+    idx = cfg["indices"]["congruence"]
     if isinstance(idx, bool) or not isinstance(idx, int):
         raise ConfigError(f"indices.congruence must be an integer, got {idx!r}")
     c2 = lf.euler_number_of_cover(vol, idx)

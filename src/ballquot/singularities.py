@@ -14,12 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+from . import matrix3 as m3
+
 
 class NotPrimitive(ValueError):
-    pass
-
-
-class SingularMatrix(ValueError):
     pass
 
 
@@ -47,24 +45,7 @@ class HJChain:
         return m
 
     def determinant(self) -> int:
-        m = [row[:] for row in self.intersection_matrix()]
-        rows = [[Fraction(v) for v in row] for row in m]
-        det = Fraction(1)
-        n = len(rows)
-        for col in range(n):
-            piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
-            if piv is None:
-                return 0
-            if piv != col:
-                rows[col], rows[piv] = rows[piv], rows[col]
-                det = -det
-            det *= rows[col][col]
-            for r in range(col + 1, n):
-                if rows[r][col] != 0:
-                    f = rows[r][col] / rows[col][col]
-                    rows[r] = [v - f * w for v, w in zip(rows[r], rows[col])]
-        assert det.denominator == 1
-        return int(det)
+        return int(m3.gauss_jordan(self.intersection_matrix())[0])
 
 
 @dataclass(frozen=True)
@@ -171,33 +152,3 @@ def solve_branch_data(total_euler: Fraction, total_sign: Fraction,
             if s_used == s_budget:
                 solutions.append((r, combo))
     return solutions
-
-
-def chain_divisor_system(chain: HJChain, k: int,
-                         d: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    """Exact solution a of M a = (k - d_1, -d_2, ..., -d_r) on a chain whose
-    leading curve meets the canonical class with multiplicity k."""
-    m = chain.intersection_matrix()
-    r = len(m)
-    if len(d) != r:
-        raise ValueError("d must match the chain length")
-    rhs = [Fraction(k) - Fraction(d[0])] + [-Fraction(di) for di in d[1:]]
-    rows = [[Fraction(v) for v in row] + [rhs[i]] for i, row in enumerate(m)]
-    for col in range(r):
-        piv = next((rr for rr in range(col, r) if rows[rr][col] != 0), None)
-        if piv is None:
-            raise SingularMatrix("chain intersection matrix is singular")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [v * inv for v in rows[col]]
-        for rr in range(r):
-            if rr != col and rows[rr][col] != 0:
-                f = rows[rr][col]
-                rows[rr] = [v - f * w for v, w in zip(rows[rr], rows[col])]
-    a = tuple(rows[i][r] for i in range(r))
-    # substitute back
-    for i in range(r):
-        acc = sum(Fraction(m[i][j]) * a[j] for j in range(r))
-        expect = (Fraction(k) if i == 0 else Fraction(0)) - Fraction(d[i])
-        assert acc == expect
-    return a

@@ -72,8 +72,47 @@ def test_missing_or_non_integer_congruence_index_is_a_config_error(tmp_path, con
         rpt.run_all(str(p))
 
 
+def _write_config(tmp_path, cfg) -> str:
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    return str(p)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda cfg: {**cfg, "datasets": {"gamma": "nope.json"}},
+    lambda cfg: {**cfg, "algebra": {"alpha": "garbage"}},
+    lambda cfg: {**cfg, "indices": {**cfg["indices"], "normalizer": 3}},
+    lambda cfg: {"local_factors": cfg["local_factors"]},
+    lambda cfg: {**cfg, "indices": [7]},
+    lambda cfg: [cfg],
+])
+def test_unknown_missing_or_malformed_config_section_is_a_config_error(tmp_path, capsys, edit):
+    path = _write_config(tmp_path, edit(rpt.load_config()))
+    with pytest.raises(rpt.ConfigError):
+        rpt.load_config(path)
+    assert main(["volume", "--config", path]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["report", "volume"])
+@pytest.mark.parametrize("local_factors", [{}, {"2": 3.5}, {"2": True}, {"2": "three"},
+                                           {"2": None}, {"2": "1/0"}, "3", [3]])
+def test_bad_local_factors_exit_2_in_every_command(tmp_path, capsys, command, local_factors):
+    cfg = rpt.load_config()
+    cfg["local_factors"] = local_factors
+    assert main([command, "--config", _write_config(tmp_path, cfg)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_cli_volume(capsys):
     assert main(["volume"]) == 0
+    assert capsys.readouterr().out.strip() == "3/7"
+
+
+def test_cli_volume_reads_integer_and_rational_string_local_factors(tmp_path, capsys):
+    cfg = rpt.load_config()
+    cfg["local_factors"] = {"2": 3, "7": "1/1"}
+    assert main(["volume", "--config", _write_config(tmp_path, cfg)]) == 0
     assert capsys.readouterr().out.strip() == "3/7"
 
 

@@ -16,7 +16,6 @@ def test_twisted_form_entries():
 def test_twisted_form_signature():
     sig = H_b().signature()
     assert (sig.positives, sig.negatives, sig.zeros) == (1, 2, 0)
-    assert sig.reversed_convention() == (2, 1)
 
 
 def test_diagonal_form_signature():

@@ -50,11 +50,6 @@ def test_discriminant_normalization_report():
     assert d["two_to_six_after_ramified_part"] is True
 
 
-def test_split_matrix_order_discriminant_is_a_unit():
-    d = oa.split_matrix_order_discriminant()
-    assert d["abs_value"] == 1 and d["is_unit"] is True
-
-
 def test_twisted_involution_does_not_preserve_the_order():
     standard = oa.OrderBasis.standard()
     assert oa.is_iota_b_invariant(standard) is False

@@ -4,13 +4,15 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ballquot import matrix3 as m3
+from ballquot import order_arithmetic as oa
 from ballquot import singularities as sg
 from ballquot.cyclic_algebra import AlgElt, b_element
-from ballquot.cyclotomic import CycElt, alpha
+from ballquot.cyclotomic import CycElt, alpha, lam
 from ballquot.hermitian import H_b, HermMatrix
 from ballquot.symreal import SymbolicReal
 
@@ -204,3 +206,58 @@ def test_symbolic_ring_laws(a, b, c, p, s):
     assert x * y == y * x
     assert x * (y + z) == x * y + x * z
     assert (x + y) + z == x + (y + z)
+
+
+# ---------------------------------------------------------------------------
+# the one elimination, against the 3x3 closed forms and against sympy
+
+def augmented(a, zero, one):
+    """[A | I] as a list of rows."""
+    n = len(a)
+    return [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(a)]
+
+
+@CASES
+@given(st.lists(st.one_of(st.just(CycElt.zero(7)), field_elements()), min_size=9, max_size=9))
+def test_elimination_matches_the_3x3_closed_forms(entries):
+    a = m3.mat(entries[3 * i:3 * i + 3] for i in range(3))
+    det, reduced = m3.gauss_jordan(augmented(a, CycElt.zero(7), CycElt.one(7)))
+    assert det == m3.det(a)
+    if det:
+        assert m3.mat(row[3:] for row in reduced) == m3.inverse(a)
+
+
+small_entries = st.integers(min_value=-3, max_value=3)
+integer_matrices = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.lists(st.lists(small_entries, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@CASES
+@given(integer_matrices)
+def test_elimination_matches_sympy_on_integer_matrices(a):
+    n = len(a)
+    det, reduced = m3.gauss_jordan(augmented(a, 0, 1))
+    assert det == int(sympy.Matrix(a).det())
+    if det:
+        inv = [row[n:] for row in reduced]
+        assert all(isinstance(v, Fraction) for row in inv for v in row)  # never a float
+        product = [[sum(a[i][k] * inv[k][j] for k in range(n)) for j in range(n)]
+                   for i in range(n)]
+        assert product == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+@CASES
+@given(integer_matrices, st.lists(small_entries, min_size=5, max_size=5))
+def test_elimination_of_a_singular_matrix_gives_determinant_zero(a, weights):
+    # the last row becomes a combination of the others (zero when n = 1)
+    a[-1] = [sum(w * row[j] for w, row in zip(weights, a[:-1])) for j in range(len(a))]
+    det, _ = m3.gauss_jordan(a)
+    assert det == 0
+
+
+def test_a_dependent_basis_has_no_coordinates():
+    # lambda * e_0 lies in the K-span of e_0
+    e = oa.OrderBasis.standard().elements
+    basis = oa.OrderBasis(e[:8] + (e[0].scale(lam()),))
+    with pytest.raises(m3.SingularMatrix):
+        basis.coordinates(e[0])

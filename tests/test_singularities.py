@@ -77,11 +77,3 @@ def test_branch_solver_finds_the_unique_solution():
     count, pts = sols[0]
     assert count == 3
     assert sorted((p.n, p.q) for p in pts) == [(3, 2)] * 3
-
-
-def test_chain_divisor_system():
-    chain = sg.hj_expand(sg.CyclicSingularity(7, 3))
-    assert sg.chain_divisor_system(chain, 2, (3, 0, 0)) == (
-        Fraction(3, 7), Fraction(2, 7), Fraction(1, 7))
-    assert sg.chain_divisor_system(chain, 3, (0, 0, 0)) == (
-        Fraction(-9, 7), Fraction(-6, 7), Fraction(-3, 7))
