@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import report as rpt
 from . import lfunctions as lf
@@ -42,11 +41,23 @@ def _cmd_resolve(args) -> int:
     return 0
 
 
-def _cmd_heights(args) -> int:
-    with open(args.file) as f:
+def _read_object(path: str) -> dict:
+    with open(path) as f:
         data = json.load(f)
-    pts = tuple(sg.CyclicSingularity(n, q) for n, q in data["points"])
-    x = sg.OrbifoldSurface(Fraction(data["euler"]), Fraction(data["signature"]), pts)
+    if not isinstance(data, dict):
+        raise rpt.ConfigError(f"{path} must hold a JSON object")
+    return data
+
+
+def _cmd_heights(args) -> int:
+    data = _read_object(args.file)
+    raw = data["points"]
+    if not isinstance(raw, list) or not all(isinstance(p, list) and len(p) == 2 for p in raw):
+        raise rpt.ConfigError("points must be a list of [n, q] pairs")
+    pts = tuple(sg.CyclicSingularity(rpt.exact_integer(n, "point order n"),
+                                     rpt.exact_integer(q, "point weight q")) for n, q in raw)
+    x = sg.OrbifoldSurface(rpt.exact_rational(data["euler"], "euler"),
+                           rpt.exact_rational(data["signature"], "signature"), pts)
     print(f"euler_height     {sg.euler_height(x)}")
     print(f"signature_height {sg.signature_height(x)}")
     e, s, blow = sg.resolve_invariants(x)
@@ -65,16 +76,22 @@ def _cmd_dims(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    with open(args.file) as f:
-        data = json.load(f)
-    plur = {int(k): int(v) for k, v in data.get("plurigenera", {}).items()}
+    data = _read_object(args.file)
+    raw = data.get("plurigenera", {})
+    if not isinstance(raw, dict):
+        raise rpt.ConfigError("plurigenera must be a JSON object")
+    plur = {rpt.decimal_key(k, "plurigenus index"): rpt.exact_integer(v, f"plurigenus P_{k}")
+            for k, v in raw.items()}
+    minimal = data.get("minimal", True)
+    if not isinstance(minimal, bool):
+        raise rpt.ConfigError(f"minimal must be true or false, got {minimal!r}")
+    c2 = rpt.exact_rational(data["c2"], "c2")
+    q = rpt.exact_rational(data.get("q", 0), "q")
     if "signature" in data:
         s = cl.invariants_from_resolution(
-            Fraction(data["c2"]), Fraction(data["signature"]),
-            Fraction(data.get("q", 0)), plur, minimal=data.get("minimal", True))
+            c2, rpt.exact_rational(data["signature"], "signature"), q, plur, minimal=minimal)
     else:
-        s = cl.ball_quotient_invariants(Fraction(data["c2"]),
-                                        Fraction(data.get("q", 0)), plur)
+        s = cl.ball_quotient_invariants(c2, q, plur)
     kod, trace = cl.kodaira_classify(s)
     print(f"kodaira_dimension     {'-infinity' if kod == -1 else kod}")
     print(f"chi                   {s.chi}")

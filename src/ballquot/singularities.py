@@ -3,8 +3,9 @@
 A point of type (n,q) resolves into a Hirzebruch-Jung chain of rational
 curves read off from the continued fraction of n/q.  Dedekind sums give the
 signature defect of each point; Euler and signature heights of an orbifold
-surface then behave multiplicatively under coverings, which also drives the
-exhaustive branch-data solver.
+surface then behave multiplicatively under coverings.  The branch-data
+solver inverts them: a complete search, bounded by the Euler budget, for the
+extra quotient points that meet both height targets.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from functools import cache
 
 from . import matrix3 as m3
 
@@ -126,9 +127,15 @@ def solve_branch_data(total_euler: Fraction, total_sign: Fraction,
                       d_max: int) -> list[tuple[int, tuple[CyclicSingularity, ...]]]:
     """All multisets of extra quotient points matching both height targets.
 
-    Enumerates multisets of types (d, e) with 2 <= d <= d_max exhaustively;
-    the multiset size is bounded because every point costs at least 1/2 of
-    Euler height.
+    A point of type (d, e) costs 1 - 1/d of Euler height, so r points fit the
+    Euler budget exactly when their reciprocal orders sum to r - budget; r is
+    at most twice the budget.  A depth-first search places the points in
+    nondecreasing (d, e) order.  With k points still to place and reciprocal
+    sum t still to reach, the next order lies in
+    [max(d_prev, ceil(1/t)), min(floor(k/t), d_max)], so d_max only caps the
+    search and no order the budget rules out is visited.  The signature target
+    is tested at the leaves.  Solutions come by r, then lexicographically in
+    (d, e).
     """
     if d_max < 2:
         raise ValueError("d_max must be >= 2")
@@ -138,17 +145,22 @@ def solve_branch_data(total_euler: Fraction, total_sign: Fraction,
     s_budget = signature_height(base) - Fraction(target_sign_height)
     if e_budget < 0:
         return []
-    types = [CyclicSingularity(d, e)
-             for d in range(2, d_max + 1)
-             for e in range(1, d) if math.gcd(d, e) == 1]
-    max_points = int(e_budget / Fraction(1, 2))
+    defect = cache(signature_defect)
     solutions = []
-    for r in range(max_points + 1):
-        for combo in combinations_with_replacement(types, r):
-            e_used = sum((1 - Fraction(1, p.n) for p in combo), Fraction(0))
-            if e_used != e_budget:
-                continue
-            s_used = sum((signature_defect(p) for p in combo), Fraction(0))
-            if s_used == s_budget:
-                solutions.append((r, combo))
+
+    def extend(points: tuple[CyclicSingularity, ...], k: int, t: Fraction) -> None:
+        if k == 0:
+            if t == 0 and sum(map(defect, points), Fraction(0)) == s_budget:
+                solutions.append((len(points), points))
+            return
+        if t <= 0:
+            return
+        d_prev, e_prev = (points[-1].n, points[-1].q) if points else (2, 1)
+        for d in range(max(d_prev, math.ceil(1 / t)), min(math.floor(k / t), d_max) + 1):
+            for e in range(e_prev if d == d_prev else 1, d):
+                if math.gcd(d, e) == 1:
+                    extend(points + (CyclicSingularity(d, e),), k - 1, t - Fraction(1, d))
+
+    for r in range(math.floor(2 * e_budget) + 1):
+        extend((), r, r - e_budget)
     return solutions

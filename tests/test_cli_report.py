@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -171,3 +172,90 @@ def test_cli_report_exit_codes(tmp_path, capsys):
 def test_cli_bad_usage_exit_code(capsys):
     assert main(["nonsense"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["report", "volume"])
+@pytest.mark.parametrize("key", ["banana", "4", "1", "", "0", "-2", "02", " 2", "2.0",
+                                 "4294967311"])
+def test_local_factor_key_that_is_not_a_decimal_prime_exits_2(tmp_path, capsys, command, key):
+    cfg = rpt.load_config()
+    cfg["local_factors"] = {"2": "3", key: "1"}
+    assert main([command, "--config", _write_config(tmp_path, cfg)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_local_factors_at_other_primes_are_read(tmp_path, capsys):
+    cfg = rpt.load_config()
+    cfg["local_factors"] = {"2": "3", "3": 1, "7": "1", "4294967291": "1"}
+    assert main(["volume", "--config", _write_config(tmp_path, cfg)]) == 0
+    assert capsys.readouterr().out.strip() == "3/7"
+
+
+@pytest.mark.parametrize("value, exact", [(3, Fraction(3)), (-2, Fraction(-2)),
+                                          ("3", Fraction(3)), ("-1/7", Fraction(-1, 7)),
+                                          ("6/4", Fraction(3, 2))])
+def test_exact_rational_reads_integers_and_fraction_strings(value, exact):
+    assert rpt.exact_rational(value, "x") == exact
+
+
+@pytest.mark.parametrize("value", [0.1, 3.0, True, False, None, [3], {"3": 1}, "1.5",
+                                   "1e3", "1/0", "", " 3", "three", "1" * 5000])
+def test_exact_rational_refuses_everything_else(value):
+    with pytest.raises(rpt.ConfigError):
+        rpt.exact_rational(value, "x")
+
+
+@pytest.mark.parametrize("value", [7.0, True, "7", None])
+def test_exact_integer_refuses_everything_but_json_integers(value):
+    assert rpt.exact_integer(7, "x") == 7
+    with pytest.raises(rpt.ConfigError):
+        rpt.exact_integer(value, "x")
+
+
+HEIGHTS = {"euler": "3", "signature": 1, "points": [[7, 3], [7, 3], [7, 3]]}
+
+
+@pytest.mark.parametrize("edit", [
+    {"euler": 0.1}, {"euler": True}, {"signature": 1.0}, {"signature": "1.5"},
+    {"points": [[7.0, 3]]}, {"points": [[7, True]]}, {"points": [[7, "3"]]},
+    {"points": [7, 3]}, {"points": [[7, 3, 1]]}, {"points": "[[7, 3]]"},
+])
+def test_heights_refuses_inexact_input(tmp_path, capsys, edit):
+    h = tmp_path / "orb.json"
+    h.write_text(json.dumps({**HEIGHTS, **edit}))
+    assert main(["heights", str(h)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "config error" in captured.err
+
+
+CLASSIFY = {"c2": 3, "q": 0, "plurigenera": {"2": 10, "3": 28}}
+
+
+@pytest.mark.parametrize("edit", [
+    {"plurigenera": {"2": 10.9, "3": 28}}, {"plurigenera": {"2": True, "3": 28}},
+    {"plurigenera": {"2": "10", "3": 28}}, {"plurigenera": {"two": 10, "3": 28}},
+    {"plurigenera": [10, 28]}, {"c2": 3.0}, {"c2": True}, {"q": 0.0},
+    {"signature": 0.5}, {"minimal": "no"},
+])
+def test_classify_refuses_inexact_input(tmp_path, capsys, edit):
+    c = tmp_path / "surf.json"
+    c.write_text(json.dumps({**CLASSIFY, **edit}))
+    assert main(["classify", str(c)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "config error" in captured.err
+
+
+@pytest.mark.parametrize("command", ["heights", "classify"])
+def test_heights_and_classify_need_a_json_object(tmp_path, capsys, command):
+    f = tmp_path / "data.json"
+    f.write_text(json.dumps([3, 1]))
+    assert main([command, str(f)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_classify_reads_a_resolution_with_rational_strings(tmp_path, capsys):
+    c = tmp_path / "surf.json"
+    c.write_text(json.dumps({"c2": "12", "signature": "-8", "q": 0, "minimal": True,
+                             "plurigenera": {"2": 1, "3": 1}}))
+    assert main(["classify", str(c)]) == 0
+    assert "kodaira_dimension     1" in capsys.readouterr().out

@@ -1,6 +1,7 @@
 """Randomized algebraic-law suites (at least 100 cases each)."""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import gcd
 
 import pytest
@@ -261,3 +262,98 @@ def test_a_dependent_basis_has_no_coordinates():
     basis = oa.OrderBasis(e[:8] + (e[0].scale(lam()),))
     with pytest.raises(m3.SingularMatrix):
         basis.coordinates(e[0])
+
+
+# ---------------------------------------------------------------------------
+# the branch-data search, against a brute-force scan of every multiset
+
+def point_types(d_max):
+    return [sg.CyclicSingularity(d, e) for d in range(2, d_max + 1)
+            for e in range(1, d) if gcd(d, e) == 1]
+
+
+def ref_branch_data(total_euler, total_sign, known, target_e, target_s, d_max):
+    """Every multiset of at most 2 * budget types with d <= d_max, in the
+    order combinations_with_replacement gives, kept if it meets both targets."""
+    base = sg.OrbifoldSurface(total_euler, total_sign, tuple(known))
+    e_budget = sg.euler_height(base) - target_e
+    s_budget = sg.signature_height(base) - target_s
+    if e_budget < 0:
+        return []
+    types = point_types(d_max)
+    scale = 420  # lcm(2, ..., 7): every Euler cost 1 - 1/d is an integer multiple of 1/scale
+    cost = {p: scale - scale // p.n for p in types}
+    defect = {p: sg.signature_defect(p) for p in types}
+    solutions = []
+    for r in range(int(2 * e_budget) + 1):
+        for combo in combinations_with_replacement(types, r):
+            if (sum(cost[p] for p in combo) == e_budget * scale
+                    and sum((defect[p] for p in combo), Fraction(0)) == s_budget):
+                solutions.append((r, combo))
+    return solutions
+
+
+small_budgets = st.fractions(min_value=Fraction(-2), max_value=Fraction(3), max_denominator=7)
+
+
+@st.composite
+def branch_problems(draw):
+    """A problem built from a random multiset of extra points, so it has at
+    least that solution; a perturbed target usually has none."""
+    d_max = draw(st.integers(min_value=2, max_value=7))
+    types = point_types(d_max)
+    known = draw(st.lists(st.sampled_from(point_types(7)), max_size=2))
+    extra = draw(st.lists(st.sampled_from(types), max_size=3))
+    total_e, total_s = draw(small_budgets), draw(small_budgets)
+    x = sg.OrbifoldSurface(total_e, total_s, tuple(known) + tuple(extra))
+    shift_e = draw(st.sampled_from([0, 0, 0, Fraction(1, 6), Fraction(-1, 12), Fraction(1, 2)]))
+    shift_s = draw(st.sampled_from([0, 0, 0, Fraction(2, 9), Fraction(-2, 7), Fraction(1, 5)]))
+    return (total_e, total_s, known, sg.euler_height(x) + shift_e,
+            sg.signature_height(x) + shift_s, d_max)
+
+
+@CASES
+@given(branch_problems())
+def test_branch_search_matches_the_brute_force_scan(problem):
+    assert sg.solve_branch_data(*problem) == ref_branch_data(*problem)
+
+
+@pytest.mark.parametrize("extra", [((5, 2), (7, 2)), ((4, 1), (5, 3), (7, 5)),
+                                   ((3, 1), (7, 3), (7, 3))])
+def test_branch_search_lists_several_solutions_in_scan_order(extra):
+    # (5, 2) ~ (5, 3), (7, 2) ~ (7, 4), (7, 3) ~ (7, 5): equal costs, equal defects
+    x = sg.OrbifoldSurface(Fraction(3), Fraction(1),
+                           tuple(sg.CyclicSingularity(d, e) for d, e in extra))
+    problem = (Fraction(3), Fraction(1), [], sg.euler_height(x), sg.signature_height(x), 7)
+    sols = sg.solve_branch_data(*problem)
+    assert len(sols) > 1 and sols == ref_branch_data(*problem)
+
+
+def test_branch_search_does_not_depend_on_a_large_order_cap(monkeypatch):
+    """d_max only caps the search: a cap of 10^6 visits exactly the points a
+    cap of 12 visits, and finds the same single solution."""
+    visits = []
+
+    class Counted(sg.CyclicSingularity):
+        def __post_init__(self):
+            visits.append((self.n, self.q))
+            assert len(visits) < 10_000, "the search visits orders the budget rules out"
+            super().__post_init__()
+
+    monkeypatch.setattr(sg, "CyclicSingularity", Counted)
+    args = (Fraction(3), Fraction(1), [Counted(7, 3)], Fraction(1, 7), Fraction(1, 21))
+    visits.clear()
+    small = sg.solve_branch_data(*args, 12)
+    seen = list(visits)
+    visits.clear()
+    large = sg.solve_branch_data(*args, 10 ** 6)
+    assert visits == seen and max(n for n, _ in seen) <= 6
+    assert small == large == [(3, (Counted(3, 2),) * 3)]
+
+
+@pytest.mark.parametrize("target_e", [Fraction(1, 7) + Fraction(1, 100), Fraction(3, 7),
+                                      Fraction(5, 2), Fraction(100)])
+def test_a_negative_euler_budget_has_no_solution(target_e):
+    # the base has Euler height 1/7, below every target here
+    assert sg.solve_branch_data(Fraction(1), Fraction(0), [sg.CyclicSingularity(7, 3)],
+                                target_e, Fraction(0), 12) == []
