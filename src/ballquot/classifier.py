@@ -28,12 +28,6 @@ class SurfaceInvariants:
     plurigenera: dict[int, int] = field(hash=False, default_factory=dict)
     minimal: bool = False
 
-    def noether_holds(self) -> bool:
-        return self.chi == (self.c1_sq + self.c2) / 12
-
-    def signature_identity_holds(self) -> bool:
-        return self.signature == (self.c1_sq - 2 * self.c2) / 3
-
 
 def ball_quotient_invariants(c2: Fraction, q_irr: Fraction,
                              plurigenera: dict[int, int] | None = None) -> SurfaceInvariants:

@@ -1,16 +1,21 @@
 """The cyclic division algebra D = D(L, sigma, alpha) over K = Q(sqrt(-7)).
 
 Elements are triples x0 + x1*u + x2*u^2 over L = Q(zeta_7), with
-u^3 = alpha = lambda/lambda_bar and a*u = u*a^sigma.  The 3x3 matrix
-representation embeds D into M_3(L); the canonical involution of second
-kind sends a |-> conj(a) on L and u |-> conj(alpha)*u^2.
+u^3 = alpha = lambda/lambda_bar and a*u = u*a^sigma.  The canonical
+involution of second kind sends a |-> conj(a) on L and u |-> conj(alpha)*u^2.
+
+Every x in D satisfies its reduced characteristic polynomial
+t^3 - T(x) t^2 + S(x) t - nrd(x) over K (Reiner, Maximal Orders, section 9),
+so the reduced norm, the adjugate x^# = x^2 - T(x) x + S(x) and the inverse
+x^# / nrd(x) all come from algebra products and the reduced trace.  The
+embedding of D into M_3(L) serves only the hermitian forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 
 from . import matrix3 as m3
 from .cyclotomic import CycElt, alpha, lam, lam_bar
@@ -88,30 +93,36 @@ class AlgElt:
     def is_zero(self) -> bool:
         return self.x0.is_zero() and self.x1.is_zero() and self.x2.is_zero()
 
-    # -- matrix representation
-
-    def to_matrix(self) -> m3.Mat:
-        """Embedding into M_3(L): a |-> diag(a, a^s, a^ss), u |-> companion of u^3 = alpha."""
-        def gal_diag(a: CycElt) -> m3.Mat:
-            return m3.mat([[a.galois(pow(2, i, 7)) if i == j else CycElt.zero(7)
-                            for j in range(3)] for i in range(3)])
-
-        u = u_matrix()
-        rep = gal_diag(self.x0)
-        rep = m3.mat_add(rep, m3.mat_mul(gal_diag(self.x1), u))
-        rep = m3.mat_add(rep, m3.mat_mul(gal_diag(self.x2), m3.mat_mul(u, u)))
-        return rep
+    # -- reduced characteristic polynomial
 
     def reduced_trace(self) -> CycElt:
         return self.x0.trace_to_K()
 
+    def adjugate(self) -> "AlgElt":
+        """x^# = x^2 - T(x) x + S(x), with S(x) = (T(x)^2 - T(x^2)) / 2, so x x^# = nrd(x)."""
+        t = self.reduced_trace()
+        sq = self * self
+        s = (t * t - sq.reduced_trace()) * Fraction(1, 2)
+        return sq - self.scale(t) + AlgElt.from_L(s)
+
     def reduced_norm(self) -> CycElt:
-        return m3.det(self.to_matrix())
+        """nrd(x) in K: the L-component of x x^#."""
+        return (self * self.adjugate()).x0
 
     def inverse(self) -> "AlgElt":
-        if self.is_zero():
+        adj = self.adjugate()
+        nrd = (self * adj).x0
+        if nrd.is_zero():
             raise NotInvertible("zero is not invertible")
-        return from_matrix(m3.inverse(self.to_matrix()))
+        return adj.scale(nrd.inverse())
+
+    def to_matrix(self) -> m3.Mat:
+        """Embedding into M_3(L): a |-> diag(a, a^s, a^ss), u |-> companion of u^3 = alpha.
+
+        Entry (i, j) is sigma^i(x_((i-j) mod 3)), times alpha above the diagonal."""
+        x, al = (self.x0, self.x1, self.x2), alpha()
+        return m3.mat([[(al * x[(i - j) % 3] if i < j else x[(i - j) % 3]).galois(pow(2, i, 7))
+                        for j in range(3)] for i in range(3)])
 
     # -- involutions
 
@@ -142,28 +153,6 @@ def _invariant_inverse(b: AlgElt) -> AlgElt:
     if b.iota() != b:
         raise NotIotaInvariant("b is not iota-invariant")
     return b.inverse()
-
-
-@cache
-def u_matrix() -> m3.Mat:
-    z, one = CycElt.zero(7), CycElt.one(7)
-    return m3.mat([[z, z, alpha()], [one, z, z], [z, one, z]])
-
-
-def from_matrix(m: m3.Mat) -> AlgElt:
-    """Inverse of to_matrix on its image.
-
-    The L-block coordinates can be read off directly: the embedding sends
-    x0+x1 u+x2 u^2 to a matrix whose (0,0),(1,0),(2,0)... pattern determines
-    x0 = m[0][0] component-wise via the diagonal and sub-diagonals.
-    """
-    x0 = m[0][0]
-    x1 = m[1][0].galois(4)  # sigma^{-1}
-    x2 = m[2][0].galois(2)  # sigma^{-2}
-    cand = AlgElt(x0, x1, x2)
-    if cand.to_matrix() != m:
-        raise ValueError("matrix is not in the image of the embedding")
-    return cand
 
 
 def b_element() -> AlgElt:

@@ -345,10 +345,6 @@ class CycElt:
         self._require_mod7()
         return self + self.galois(2) + self.galois(4)
 
-    def rational_norm(self) -> Fraction:
-        """Absolute norm: product over all phi(N) Galois conjugates."""
-        return _norm_and_cofactor(self)[0]
-
     def norm_K_to_Q(self) -> Fraction:
         """Norm of an element of the subfield K down to Q (x * conj(x))."""
         if not self.in_K():

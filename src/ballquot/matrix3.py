@@ -4,6 +4,11 @@
 and need at most one field inverse.  `gauss_jordan` is the only elimination
 in the package: it serves every larger exact system, over `Fraction` or
 `CycElt` entries alike.
+
+The program uses `mat`, `det`, `trace`, `char_poly` and `conj_transpose` for
+the hermitian forms, and `gauss_jordan`.  `mat_mul` and `inverse` have no
+caller in the program: the tests keep them as references, checking the
+algebra embedding against `mat_mul` and `gauss_jordan` against `inverse`.
 """
 
 from __future__ import annotations
@@ -17,10 +22,6 @@ Mat = tuple[tuple[CycElt, ...], ...]
 
 def mat(rows) -> Mat:
     return tuple(tuple(r) for r in rows)
-
-
-def mat_add(a: Mat, b: Mat) -> Mat:
-    return mat([[a[i][j] + b[i][j] for j in range(3)] for i in range(3)])
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:

@@ -164,14 +164,17 @@ def gram_matrix(basis: OrderBasis) -> list[list[CycElt]]:
 
 
 def _factor_int(n: int) -> dict[int, int]:
+    """Prime factorization of |n| by trial division up to sqrt(|n|)."""
     factors: dict[int, int] = {}
     n = abs(n)
     p = 2
-    while n > 1:
+    while p * p <= n:
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
         p += 1
+    if n > 1:  # no factor up to its square root: a prime
+        factors[n] = 1
     return factors
 
 
@@ -256,7 +259,7 @@ def iota_b_invariance_report(basis: OrderBasis | None = None,
         return all(is_K_integral(c) for c in ob.coordinates(x))
 
     nrd = belt.reduced_norm()
-    adj = belt.inverse().scale(nrd)
+    adj = belt.adjugate()
     report = {
         "invariant": not failing,
         "failing_basis_indices": failing,

@@ -14,8 +14,6 @@ from typing import Iterator, Mapping
 
 import mpmath
 
-Rat = Fraction
-
 
 class NotRational(ValueError):
     """Raised when a SymbolicReal is forced to a rational but carries pi or sqrt(7)."""
@@ -107,18 +105,6 @@ class SymbolicReal:
                     t *= mpmath.sqrt(7) ** s
                 total += t
             return +total
-
-    def to_json(self) -> list[dict]:
-        return [
-            {"pi": p, "seven_half": s, "num": str(c.numerator), "den": str(c.denominator)}
-            for p, s, c in self._terms
-        ]
-
-    @staticmethod
-    def from_json(data: list[dict]) -> "SymbolicReal":
-        return SymbolicReal.from_terms(
-            {(int(t["pi"]), int(t["seven_half"])): Fraction(int(t["num"]), int(t["den"])) for t in data}
-        )
 
     def __str__(self) -> str:
         if not self._terms:

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +40,17 @@ def test_report_json_is_deterministic(default_report):
     # the hashed body carries no timestamp; the timestamp sits outside it
     doc = json.loads(default_report.to_json(with_timestamp=True))
     assert "generated_at" in doc and "generated_at" not in doc["report"]
+
+
+def test_report_values_are_pinned(default_report):
+    # computed value and status of each entry of `ballquot report --format json`;
+    # notes and config_hash are not pinned, and new ids may be added
+    pinned = json.loads((Path(__file__).parent / "data" / "report_pinned.json").read_text())
+    entries = {e["id"]: e for e in json.loads(default_report.to_json())["report"]["entries"]}
+    assert len(pinned) == 39
+    for entry_id, want in pinned.items():
+        got = entries[entry_id]
+        assert {"computed": got["computed"], "status": got["status"]} == want, entry_id
 
 
 def test_wrong_local_factor_causes_mismatch_exit(tmp_path):

@@ -147,6 +147,11 @@ def test_cached_coordinates_match_a_fresh_elimination_and_rebuild_x():
             assert rebuilt == y
 
 
+def test_factor_int_stops_at_the_square_root():
+    assert oa._factor_int(1_000_000_007) == {1_000_000_007: 1}
+    assert oa._factor_int(-2**6 * 7**3 * 10_000_019) == {2: 6, 7: 3, 10_000_019: 1}
+
+
 def test_congruence_index():
     assert oa.congruence_index(2, 3) == 7
     assert oa.congruence_index(3, 3) == 13

@@ -153,6 +153,67 @@ def test_closed_form_involution_matches_its_definition(x):
     assert x.reduced_trace() == m3.trace(x.to_matrix())
 
 
+# ---------------------------------------------------------------------------
+# norm, adjugate and inverse from the reduced characteristic polynomial,
+# against the matrix embedding
+
+def reference_matrix(x):
+    """D(x0) + D(x1) U + D(x2) U^2 with D(a) = diag(a, a^sigma, a^sigma^2) and U
+    the companion matrix of u^3 = alpha."""
+    zero, one = CycElt.zero(7), CycElt.one(7)
+    U = m3.mat([[zero, zero, alpha()], [one, zero, zero], [zero, one, zero]])
+
+    def diag(a):
+        return m3.mat([[a.galois(pow(2, i, 7)) if i == j else zero for j in range(3)]
+                       for i in range(3)])
+
+    def add(a, b):
+        return m3.mat([[a[i][j] + b[i][j] for j in range(3)] for i in range(3)])
+
+    return add(diag(x.x0), add(m3.mat_mul(diag(x.x1), U),
+                               m3.mat_mul(diag(x.x2), m3.mat_mul(U, U))))
+
+
+@CASES
+@given(algebra_elements())
+def test_entrywise_embedding_matches_its_definition(x):
+    assert x.to_matrix() == reference_matrix(x)
+
+
+@CASES
+@given(algebra_elements())
+def test_reduced_norm_is_the_determinant(x):
+    assert x.reduced_norm() == m3.det(x.to_matrix())
+
+
+@CASES
+@given(algebra_elements())
+def test_adjugate_is_a_two_sided_cofactor(x):
+    adj = x.adjugate()
+    assert x * adj == adj * x == AlgElt.from_L(x.reduced_norm())
+
+
+@CASES
+@given(algebra_elements())
+def test_reduced_characteristic_polynomial(x):
+    # x^# = x^2 - T x + S and T(x^2) = T^2 - 2S give T(x^#) = S
+    t, s = x.reduced_trace(), x.adjugate().reduced_trace()
+    assert m3.char_poly(x.to_matrix()) == (-t, s, -x.reduced_norm())
+
+
+@CASES
+@given(algebra_elements())
+def test_algebra_inverse(x):
+    assume(not x.is_zero())
+    assert x * x.inverse() == AlgElt.one()
+
+
+@CASES
+@given(st.integers(min_value=1, max_value=10**8))
+def test_factor_int_matches_sympy(n):
+    assert oa._factor_int(n) == sympy.factorint(n)
+
+
 small_ints = st.integers(min_value=-2, max_value=2)
 
 

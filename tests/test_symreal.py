@@ -49,11 +49,6 @@ def test_float_evaluation():
     assert abs(x.to_float() - expect) < 1e-15
 
 
-def test_json_roundtrip():
-    x = SymbolicReal.term(Fraction(-7, 392), 3, 1) + SymbolicReal.rational(2)
-    assert SymbolicReal.from_json(x.to_json()) == x
-
-
 def test_str_rendering():
     assert str(SymbolicReal.term(Fraction(32, 2401), 3, 1)) == "32/2401 * pi^3 * 7^(1/2)"
     assert str(ZERO) == "0"
