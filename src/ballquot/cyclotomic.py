@@ -14,7 +14,9 @@ element as a tuple of `Fraction`s.
 Products are integer schoolbook products reduced through a table of
 x^k mod Phi_N; Galois maps apply a table of zeta^(i*k) mod Phi_N; inverses
 are the product of the other Galois conjugates over the rational norm.  The
-tables are built on first use, once per modulus (and exponent).
+tables are built on first use, once per modulus (and exponent).  The sign of
+a real element is exact: `interval` encloses its value between two
+`Fraction`s, from cosine series in scaled integers and `symreal.pi_interval`.
 
 N = 7 carries the core field L = Q(zeta_7) with its quadratic subfield
 K = Q(sqrt(-7)); N = 21 is used for mixed order-3/order-7 fixed point data.
@@ -26,7 +28,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from math import gcd, lcm
 
-import mpmath
+from .symreal import Interval, pi_interval
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -300,29 +302,20 @@ class CycElt:
 
     # -- numerics
 
-    def interval(self, prec: int):
-        """Certified mpmath interval enclosing the (real part of the) value.
-
-        Only meaningful as a total value for real elements; used by sign().
-        """
-        with mpmath.workprec(prec):
-            iv = mpmath.iv
-            iv.prec = prec
-            two_pi = 2 * iv.pi
-            n = self.modulus
-            total = iv.mpf(0)
-            for i, c in enumerate(self.coeffs):
-                if c:
-                    coeff = iv.mpf(c.numerator) / iv.mpf(c.denominator)
-                    total += coeff * iv.cos(two_pi * i / n)
-            return total
+    def interval(self, prec: int) -> Interval:
+        """Exact enclosure of sum c_i cos(2 pi i / N), the value of a real
+        element, each cosine to within 2^-prec (`_cos_2pi`)."""
+        mid = rad = Fraction(0)
+        for i, c in enumerate(self.num):
+            if c:
+                m, r = _cos_2pi(self.modulus, i, prec)
+                mid, rad = mid + c * m, rad + abs(c) * r
+        return Interval((mid - rad) / self.den, (mid + rad) / self.den)
 
     def sign(self) -> int:
-        """Exact sign (-1, 0, +1) of a real cyclotomic number.
-
-        Zero is decided structurally (canonical coefficients); otherwise the
-        certified cosine-interval evaluation is refined until 0 is excluded.
-        """
+        """Exact sign (-1, 0, +1) of a real cyclotomic number: zero is decided
+        structurally (canonical coefficients); otherwise `interval` is refined
+        until it excludes 0."""
         if not self.is_real():
             raise ValueError("sign of a non-real cyclotomic number")
         if self.is_zero():
@@ -420,6 +413,27 @@ def _norm_and_cofactor(a: CycElt) -> tuple[Fraction, CycElt]:
     if c is None:  # Q(zeta_1) = Q(zeta_2) = Q
         c = CycElt.one(n)
     return y.as_rational(), c
+
+
+@lru_cache(maxsize=None)
+def _cos_2pi(n: int, i: int, prec: int) -> tuple[Fraction, Fraction]:
+    """(m, r) with |cos(2 pi i / n) - m| <= r <= 2^-prec: the Taylor series at
+    t = 2 mid(pi) j / n, j = min(i, n - i), in integers scaled by 2^w.  Each
+    term is floored from the one before; `err` bounds how far below the true
+    term flooring put it.  The series stops at a term that floors to 0, which
+    bounds the Lagrange remainder by `err` units; cos being 1-Lipschitz,
+    |t - 2 pi j / n| <= width(pi) j / n widens the sum."""
+    w = prec + prec.bit_length() + 4
+    pi, j = pi_interval(w), min(i, n - i)
+    t = (pi.a + pi.b) * j / n
+    a, d = t.numerator ** 2, t.denominator ** 2
+    term, err, total, bound, k = 1 << w, 0, 0, 0, 0
+    while term:
+        total, bound = total + (-1) ** k * term, bound + err
+        step = d * (2 * k + 1) * (2 * k + 2)
+        term, err = term * a // step, -(-err * a // step) + 1
+        k += 1
+    return Fraction(total, 1 << w), Fraction(bound + err, 1 << w) + (pi.b - pi.a) * j / n
 
 
 # distinguished elements of L = Q(zeta_7), each computed once

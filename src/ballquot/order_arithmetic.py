@@ -211,12 +211,6 @@ def discriminant(basis: OrderBasis | None = None) -> dict:
         result["is_two_to_six"] = False
         result["ramified_part_exponent"] = None
         result["two_to_six_after_ramified_part"] = False
-    nrm = d.norm_K_to_Q()
-    result["norm_to_Q"] = nrm
-    if nrm.denominator == 1:
-        result["norm_factorization"] = _factor_int(int(nrm))
-    else:
-        result["norm_factorization"] = None
     return result
 
 

@@ -177,7 +177,8 @@ def run_all(config_path: str | None = None) -> VerificationReport:
           "48/7", _frac(b3))
     lval = lf.dirichlet_L_value(3, chi7)
     series, tail = lf.l_series_oracle(3, chi7, 20000)
-    agrees = abs(lval.to_float() - series) <= tail
+    box, center, radius = lval.interval(), Fraction(series), Fraction(tail)
+    agrees = center - radius <= box.a and box.b <= center + radius
     r.add("l_value_closed_form", "special L-value at 3 for the character mod 7",
           f"series {series:.12f} +- {tail:.1e}", str(lval),
           status="match" if agrees else "mismatch",

@@ -75,18 +75,17 @@ def singularity_type_from_rotation(n: int, a: int, b: int) -> CyclicSingularity:
     return CyclicSingularity(n, q)
 
 
-def _sawtooth(x: Fraction) -> Fraction:
-    x = x - math.floor(x)
-    if x == 0:
-        return Fraction(0)
-    return x - Fraction(1, 2)
-
-
 def dedekind_sum(q: int, n: int) -> Fraction:
+    """s(q, n) = sum over k = 1 .. n-1 of ((k/n)) ((kq/n)), in Euclid's steps by
+    reciprocity: s(q, n) = -s(n mod q, q) - 1/4 + (q/n + n/q + 1/(nq))/12
+    for 0 < q < n, and s(0, 1) = 0."""
     if n < 1 or math.gcd(q, n) != 1:
         raise ValueError("need n >= 1 and gcd(q,n) = 1")
-    return sum((_sawtooth(Fraction(k, n)) * _sawtooth(Fraction(k * q, n))
-                for k in range(1, n)), Fraction(0))
+    total, sign, q = Fraction(0), 1, q % n
+    while q:
+        total += sign * (Fraction(q * q + n * n + 1, 12 * q * n) - Fraction(1, 4))
+        sign, n, q = -sign, q, n % q
+    return total
 
 
 def signature_defect(s: CyclicSingularity) -> Fraction:

@@ -1,22 +1,51 @@
-"""Exact real numbers of the form sum q * pi^a * sqrt(7)^b.
+"""Exact real numbers of the form sum q * pi^a * sqrt(7)^b, and rational
+enclosures of them.
 
 Every quantity in the volume pipeline (zeta values, L-values, discriminant
 powers) lives in the ring Q[pi, pi^-1, sqrt(7), sqrt(7)^-1].  Keeping these
 symbolic lets the final covolume assert exact cancellation of all pi powers
-instead of comparing floats.
+instead of comparing floats.  `SymbolicReal.interval` encloses a value
+between two `Fraction`s, from `pi_interval` and an integer square root;
+`CycElt.interval` returns the same `Interval` type.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from math import isqrt
 from typing import Iterator, Mapping
-
-import mpmath
 
 
 class NotRational(ValueError):
     """Raised when a SymbolicReal is forced to a rational but carries pi or sqrt(7)."""
+
+
+@dataclass(frozen=True)
+class Interval:
+    """The closed interval [a, b] with rational ends."""
+
+    a: Fraction
+    b: Fraction
+
+
+@cache
+def pi_interval(bits: int) -> Interval:
+    """An enclosure of pi of width at most 2^-bits, from Machin's formula
+    pi = 16 atan(1/5) - 4 atan(1/239) in integers scaled by 2^w.  Term k of
+    atan(1/x) is floor(2^w / ((2k+1) x^(2k+1))), off by less than one unit;
+    each alternating series stops where that power reaches 0, so its next
+    term, which bounds the remainder, is below one unit too."""
+    w = bits + bits.bit_length() + 8  # so 2 * err < 8w + 96 <= 2^(w - bits)
+    mid = err = 0
+    for x, f in ((5, 16), (239, -4)):
+        k, p = 0, (1 << w) // x
+        while p:
+            mid += f * (-1) ** k * (p // (2 * k + 1))
+            k, p = k + 1, p // (x * x)
+        err += abs(f) * (k + 1)
+    return Interval(Fraction(mid - err, 1 << w), Fraction(mid + err, 1 << w))
 
 
 def _normalize(terms: Mapping[tuple[int, int], Fraction]) -> dict[tuple[int, int], Fraction]:
@@ -92,19 +121,22 @@ class SymbolicReal:
                 return c
         raise NotRational(f"not a rational value: {self}")
 
-    def to_float(self, precision_bits: int = 64) -> mpmath.mpf:
-        """Approximation good to ~2^-precision_bits relative error."""
-        if precision_bits < 32:
-            raise ValueError("precision_bits must be >= 32")
-        with mpmath.workprec(precision_bits + 16):
-            total = mpmath.mpf(0)
-            for p, s, c in self._terms:
-                t = mpmath.mpf(c.numerator) / c.denominator
-                t *= mpmath.pi ** p
-                if s:
-                    t *= mpmath.sqrt(7) ** s
-                total += t
-            return +total
+    def interval(self, bits: int = 64) -> Interval:
+        """An exact enclosure of the value, from `pi_interval(bits)` and
+        sqrt(7) between isqrt(7 * 4^bits) / 2^bits and one unit more."""
+        pi, r = pi_interval(bits), isqrt(7 << 2 * bits)
+        lo = hi = Fraction(0)
+        for p, s, c in self._terms:
+            x, y = sorted((pi.a ** p, pi.b ** p))  # pi^p is monotone in pi > 0
+            if s:
+                x, y = x * Fraction(r, 1 << bits), y * Fraction(r + 1, 1 << bits)
+            lo, hi = lo + min(c * x, c * y), hi + max(c * x, c * y)
+        return Interval(lo, hi)
+
+    def to_float(self) -> float:
+        """The float nearest the midpoint of `interval()`."""
+        box = self.interval()
+        return float((box.a + box.b) / 2)
 
     def __str__(self) -> str:
         if not self._terms:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,34 @@ def test_dedekind_sums():
     assert sg.dedekind_sum(3, 7) == Fraction(-1, 14)
     assert sg.dedekind_sum(2, 3) == Fraction(-1, 18)
     assert sg.dedekind_sum(1, 2) == 0
+
+
+def _sawtooth(x: Fraction) -> Fraction:
+    x -= math.floor(x)
+    return x - Fraction(1, 2) if x else Fraction(0)
+
+
+def direct_dedekind_sum(q: int, n: int) -> Fraction:
+    return sum((_sawtooth(Fraction(k, n)) * _sawtooth(Fraction(k * q, n))
+                for k in range(1, n)), Fraction(0))
+
+
+def test_dedekind_sum_matches_the_direct_sum():
+    checked = 0
+    for n in range(1, 61):
+        for q in range(n):
+            if math.gcd(q, n) == 1:
+                expect = direct_dedekind_sum(q, n)
+                for shift in (-n, 0, n):
+                    assert sg.dedekind_sum(q + shift, n) == expect, (q + shift, n)
+                checked += 1
+    assert checked > 1000
+
+
+def test_dedekind_sum_closed_forms_at_a_large_prime():
+    n = 10**9 + 7
+    assert sg.dedekind_sum(1, n) == Fraction((n - 1) * (n - 2), 12 * n)
+    assert sg.dedekind_sum(2, n) == Fraction((n - 1) * (n - 5), 24 * n)
 
 
 def test_signature_defects():
