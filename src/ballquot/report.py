@@ -186,7 +186,7 @@ def run_all(config_path: str | None = None) -> VerificationReport:
     printed = SymbolicReal.term(Fraction(-7, 8 * 49), 3, 1)
     r.add("l_value_printed_constant", "printed closed-form constant for the same L-value",
           str(printed), str(lval), status="flagged",
-          note=f"printed value evaluates to {float(printed.to_float()):.6f}, series "
+          note=f"printed value evaluates to {printed.to_float():.6f}, series "
                f"gives {series:.6f}; the printed constant is inconsistent and not adopted")
     z2 = lf.riemann_zeta(2)
     r.add("zeta_2", "zeta value at 2", "1/6 * pi^2", str(z2))

@@ -121,15 +121,15 @@ class SymbolicReal:
                 return c
         raise NotRational(f"not a rational value: {self}")
 
-    def interval(self, bits: int = 64) -> Interval:
-        """An exact enclosure of the value, from `pi_interval(bits)` and
-        sqrt(7) between isqrt(7 * 4^bits) / 2^bits and one unit more."""
-        pi, r = pi_interval(bits), isqrt(7 << 2 * bits)
+    def interval(self) -> Interval:
+        """An exact enclosure of the value, from `pi_interval(64)` and
+        sqrt(7) between isqrt(7 * 4^64) / 2^64 and one unit more."""
+        pi, r = pi_interval(64), isqrt(7 << 128)
         lo = hi = Fraction(0)
         for p, s, c in self._terms:
             x, y = sorted((pi.a ** p, pi.b ** p))  # pi^p is monotone in pi > 0
             if s:
-                x, y = x * Fraction(r, 1 << bits), y * Fraction(r + 1, 1 << bits)
+                x, y = x * Fraction(r, 1 << 64), y * Fraction(r + 1, 1 << 64)
             lo, hi = lo + min(c * x, c * y), hi + max(c * x, c * y)
         return Interval(lo, hi)
 
