@@ -30,8 +30,8 @@ def _cmd_lvalue(args) -> int:
     print(val)
     if args.numeric:
         series, tail = lf.l_series_oracle(args.weight, chi, args.terms)
-        print(f"closed form = {float(val.to_float()):.15f}")
-        print(f"series      = {series:.15f} (tail bound {float(tail):.2e})")
+        print(f"closed form = {val.to_float():.15f}")
+        print(f"series      = {series:.15f} (tail bound {tail:.2e})")
     return 0
 
 

@@ -338,12 +338,6 @@ class CycElt:
         self._require_mod7()
         return self + self.galois(2) + self.galois(4)
 
-    def norm_K_to_Q(self) -> Fraction:
-        """Norm of an element of the subfield K down to Q (x * conj(x))."""
-        if not self.in_K():
-            raise ValueError("element not in K")
-        return (self * self.conjugate()).as_rational()
-
     def in_K(self) -> bool:
         """True when the element lies in the sigma-fixed subfield K (N = 7)."""
         self._require_mod7()

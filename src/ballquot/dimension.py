@@ -1,10 +1,11 @@
 """Exact dimension formula for spaces of automorphic forms on the 2-ball.
 
 The dimension of the weight-k space is a finite sum over fixed-point
-conjugacy classes.  Each class contributes its virtual Euler number times a
-root of unity to the k-th power, divided by the class order and r+1, times
-a power-series coefficient R(r, k).  All arithmetic happens in Q(zeta_21)
-so order-7 and order-3 rotation data mix exactly.
+conjugacy classes.  Each class contributes its virtual Euler number times
+j^k, divided by the class order and r+1, times a power-series coefficient
+R(r, k).  Order-7 and order-3 rotation data mix exactly in Q(zeta_21).
+Roots of unity are kept as exponents of zeta_21: j^k is one lookup, and
+R(0, k), the same at every k, is computed once per pair of eigenvalues.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 
-from .cyclotomic import CycElt, euler_phi
+from .cyclotomic import CycElt
 
 
 class EigenvalueOne(ValueError):
@@ -28,19 +30,22 @@ class NotAnInteger(ValueError):
 
 @dataclass(frozen=True)
 class FixedPointClass:
+    """`j` and `normal_eigenvalues` are exponents e of zeta_N^e, reduced mod N."""
     r: int
     virtual_euler: Fraction
-    j: CycElt
+    j: int
     m: int
-    normal_eigenvalues: tuple[CycElt, ...]
+    normal_eigenvalues: tuple[int, ...]
 
     def __post_init__(self):
         if self.r not in (0, 2):
             raise ValueError("fixed set dimension must be 0 or 2")
-        if self.r == 2 and (self.normal_eigenvalues or self.j != CycElt.one(self.j.modulus)):
+        if self.r == 2 and (self.normal_eigenvalues or self.j != 0):
             raise ValueError("a 2-dimensional fixed set has no normal data and j = 1")
         if self.r == 0 and len(self.normal_eigenvalues) != 2:
             raise ValueError("an isolated fixed point carries exactly 2 eigenvalues")
+        if 0 in self.normal_eigenvalues:
+            raise EigenvalueOne("normal eigenvalue 1 makes R undefined")
         if self.m < 1:
             raise ValueError("class order must be positive")
 
@@ -57,31 +62,25 @@ class ClassDataset:
         if math.gcd(s, n) != 1:
             raise ValueError("s must be coprime to the modulus")
         out = tuple(
-            FixedPointClass(c.r, c.virtual_euler, c.j.galois(s), c.m,
-                            tuple(e.galois(s) for e in c.normal_eigenvalues))
+            FixedPointClass(c.r, c.virtual_euler, c.j * s % n, c.m,
+                            tuple(e * s % n for e in c.normal_eigenvalues))
             for c in self.classes)
         return ClassDataset(self.label, n, out)
 
 
-def R_coefficient(r: int, k: int,
-                  normal_eigenvalues: tuple[CycElt, ...] = ()) -> CycElt:
-    """Coefficient of z^r in (1-z)^{3k-1} * prod 1/(1 - nu_i + nu_i z)."""
+@cache
+def _isolated_coefficient(n: int, a: int, b: int) -> CycElt:
+    """1/((1 - zeta_n^a)(1 - zeta_n^b)); at most n^2 entries per modulus."""
+    one = CycElt.one(n)
+    return ((one - CycElt.zeta(n, a)) * (one - CycElt.zeta(n, b))).inverse()
+
+
+def R_coefficient(r: int, k: int, n: int, normal_eigenvalues: tuple[int, ...] = ()) -> CycElt:
+    """Coefficient of z^r in (1-z)^{3k-1} * prod 1/(1 - nu_i + nu_i z), nu_i =
+    zeta_n^e_i; for r = 0 it is prod 1/(1 - nu_i), the same at every k."""
     if r == 2:
-        if normal_eigenvalues:
-            raise ValueError("r = 2 takes no normal eigenvalues")
-        return CycElt.rational(21, Fraction(math.comb(3 * k - 1, 2)))
-    if r == 0:
-        if len(normal_eigenvalues) != 2:
-            raise ValueError("r = 0 needs exactly 2 eigenvalues")
-        n = normal_eigenvalues[0].modulus
-        acc = CycElt.one(n)
-        for nu in normal_eigenvalues:
-            fac = CycElt.one(n) - nu
-            if fac.is_zero():
-                raise EigenvalueOne("normal eigenvalue 1 makes R undefined")
-            acc = acc * fac
-        return acc.inverse()
-    raise ValueError("only r in {0, 2} occurs on a 2-ball quotient")
+        return CycElt.rational(n, Fraction(math.comb(3 * k - 1, 2)))
+    return _isolated_coefficient(n, *normal_eigenvalues)
 
 
 def dimension(dataset: ClassDataset, k: int) -> int:
@@ -92,12 +91,9 @@ def dimension(dataset: ClassDataset, k: int) -> int:
     n = dataset.cyclotomic_modulus
     total = CycElt.zero(n)
     for c in dataset.classes:
-        jk = CycElt.one(n)
-        for _ in range(k):
-            jk = jk * c.j
-        coeff = R_coefficient(c.r, k, c.normal_eigenvalues)
+        coeff = R_coefficient(c.r, k, n, c.normal_eigenvalues)
         w = Fraction(c.virtual_euler, c.m * (c.r + 1))
-        total = total + (jk * coeff) * w
+        total = total + (CycElt.zeta(n, c.j * k) * coeff) * w
     if total != total.conjugate():
         raise NotAnInteger(f"class sum {total} is not real")
     if not total.is_rational():
@@ -111,11 +107,11 @@ def dimension(dataset: ClassDataset, k: int) -> int:
 # ---------------------------------------------------------------------------
 # dataset fixtures
 
-def _root(spec: list, n: int) -> CycElt:
+def _exponent(spec: list, n: int) -> int:
     mod, e = spec
     if mod != n:
         raise ValueError("dataset root of unity modulus mismatch")
-    return CycElt.zeta(n, e)
+    return e % n
 
 
 def _load(name: str) -> ClassDataset:
@@ -126,9 +122,9 @@ def _load(name: str) -> ClassDataset:
         FixedPointClass(
             r=c["r"],
             virtual_euler=Fraction(c["virtual_euler"]),
-            j=_root(c["j"], n),
+            j=_exponent(c["j"], n),
             m=c["m"],
-            normal_eigenvalues=tuple(_root(e, n) for e in c["normal_eigenvalues"]),
+            normal_eigenvalues=tuple(_exponent(e, n) for e in c["normal_eigenvalues"]),
         )
         for c in raw["classes"])
     return ClassDataset(raw["label"], n, classes)

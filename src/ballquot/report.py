@@ -19,7 +19,6 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
-from math import isqrt
 
 from . import __version__
 from .cyclotomic import CycElt
@@ -113,7 +112,7 @@ def covolume(cfg: dict, zeta_2: SymbolicReal, l_value: SymbolicReal) -> Fraction
     local = {}
     for prime, v in factors.items():
         p = decimal_key(prime, "local factor key")
-        if not (2 <= p < _PRIME_LIMIT and all(p % k for k in range(2, isqrt(p) + 1))):
+        if not (2 <= p < _PRIME_LIMIT and oa._factor_int(p) == {p: 1}):
             raise ConfigError(f"local factor key must be a prime below 2^32, got {prime!r}")
         local[prime] = exact_rational(v, f"local factor at {prime}")
     return lf.covolume(lf.VolumeInput(7, 1, 1, zeta_2, l_value, local))

