@@ -16,6 +16,10 @@ from . import singularities as sg
 from . import dimension as dim
 from . import classifier as cl
 
+MAX_WEIGHT = 401
+MAX_TERMS = 10**7
+MAX_CHAIN = 10**6
+
 
 def _cmd_volume(args) -> int:
     chi = lf.DirichletCharacter.kronecker(-7)
@@ -25,6 +29,8 @@ def _cmd_volume(args) -> int:
 
 
 def _cmd_lvalue(args) -> int:
+    if args.weight > MAX_WEIGHT or args.terms > MAX_TERMS:
+        raise rpt.ConfigError(f"need --weight <= {MAX_WEIGHT} and --terms <= {MAX_TERMS}")
     chi = lf.DirichletCharacter.kronecker(-7)
     val = lf.dirichlet_L_value(args.weight, chi)
     print(val)
@@ -36,8 +42,11 @@ def _cmd_lvalue(args) -> int:
 
 
 def _cmd_resolve(args) -> int:
-    chain = sg.hj_expand(sg.CyclicSingularity(args.n, args.q))
-    print("".join(f"({b})" for b in chain.self_intersections))
+    point = sg.CyclicSingularity(args.n, args.q)
+    # one blow-up per chain entry, counted without building the chain
+    if sg.resolve_invariants(sg.OrbifoldSurface(0, 0, (point,)))[2] > MAX_CHAIN:
+        raise rpt.ConfigError(f"the chain of ({args.n},{args.q}) is longer than {MAX_CHAIN}")
+    print("".join(f"({b})" for b in sg.hj_expand(point).self_intersections))
     return 0
 
 
@@ -122,13 +131,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_volume)
 
     sp = sub.add_parser("lvalue", help="special L-value in closed form")
-    sp.add_argument("--weight", type=int, default=3)
+    sp.add_argument("--weight", type=int, default=3,
+                    help=f"n in L(n, chi), at most {MAX_WEIGHT}")
     sp.add_argument("--numeric", action="store_true",
                     help="also compare against the direct series")
-    sp.add_argument("--terms", type=int, default=100000)
+    sp.add_argument("--terms", type=int, default=100000,
+                    help=f"terms of the direct series, at most {MAX_TERMS}")
     sp.set_defaults(func=_cmd_lvalue)
 
-    sp = sub.add_parser("resolve", help="resolution chain of a cyclic quotient point")
+    sp = sub.add_parser("resolve", help="resolution chain of a cyclic quotient point, "
+                                        f"at most {MAX_CHAIN} entries")
     sp.add_argument("n", type=int)
     sp.add_argument("q", type=int)
     sp.set_defaults(func=_cmd_resolve)

@@ -185,9 +185,8 @@ def l_series_oracle(n: int, chi: DirichletCharacter, terms: int) -> tuple[float,
     """Partial sum of the Dirichlet series with a crude tail bound."""
     if n < 2 or terms < 10:
         raise ValueError("need n >= 2 and terms >= 10")
-    parts = [chi(m) / m ** n for m in range(1, terms + 1)]
     tail = terms ** (1 - n) / (n - 1)
-    return math.fsum(parts), tail
+    return math.fsum(chi(m) / m ** n for m in range(1, terms + 1)), tail
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 
 from . import matrix3 as m3
-from .cyclotomic import CycElt, lam, lam_bar
+from .cyclotomic import CycElt, euler_phi, lam, lam_bar
 from .cyclic_algebra import AlgElt, b_element
 
 
@@ -279,37 +279,27 @@ class TorsionReport:
     excluded: dict[int, str]
 
 
-def torsion_orders(conductor_of_center: int = 7) -> TorsionReport:
+def torsion_orders() -> TorsionReport:
     """Possible orders of torsion elements in the norm-1 unitary group of O.
 
     Cyclotomic subfields of D containing the center K = Q(sqrt(-7)) must have
     degree dividing 6 over Q and conductor divisible by 7; elements forcing
     reduced norm -1 (i.e. -1 itself, and any even order) are excluded.
     """
-    from .cyclotomic import euler_phi
-
     allowed = {1}
     excluded: dict[int, str] = {}
     candidates = [m for m in range(2, 43) if euler_phi(m) in (1, 2, 3, 6)]
     for m in candidates:
         if m == 2:
             excluded[2] = "nrd(-1) = -1, so -1 is not a norm-1 unitary element"
-            continue
-        if euler_phi(m) > 2 or m == conductor_of_center:
+        elif m % 7 != 0:
             # Q(zeta_m) must contain K: conductor divisibility
-            if m % conductor_of_center != 0:
-                if euler_phi(m) in (3, 6):
-                    excluded[m] = f"Q(sqrt(-{conductor_of_center})) is not contained in Q(zeta_{m})"
-                continue
-        if m % conductor_of_center != 0:
-            continue
-        if m % 2 == 0:
+            if euler_phi(m) in (3, 6):
+                excluded[m] = f"Q(sqrt(-7)) is not contained in Q(zeta_{m})"
+        elif m % 2 == 0:
             excluded[m] = "contains -1, whose reduced norm is -1"
-            continue
-        if euler_phi(m) not in (2, 6) or euler_phi(m) % 2:
-            excluded[m] = f"[Q(zeta_{m}):K] does not divide 3"
-            continue
-        allowed.add(m)
+        else:
+            allowed.add(m)
     return TorsionReport(frozenset(allowed), excluded)
 
 

@@ -56,15 +56,24 @@ class OrbifoldSurface:
     points: tuple[CyclicSingularity, ...]
 
 
+def _hj_runs(n: int, q: int):
+    """Runs (b, count) of the continued fraction n/q = b1 - 1/(b2 - ...): while
+    2q >= n the next floor(q/d) entries are 2, each taking d = n - q off n and
+    q, so a chain of any length is walked in Euclid's steps."""
+    while q:
+        if 2 * q >= n:
+            d = n - q
+            yield 2, q // d
+            n, q = d + q % d, q % d
+        else:
+            b = -(-n // q)  # ceil(n/q)
+            yield b, 1
+            n, q = q, b * q - n
+
+
 def hj_expand(s: CyclicSingularity) -> HJChain:
     """Continued fraction n/q = b1 - 1/(b2 - 1/(...)), all b_i >= 2."""
-    n, q = s.n, s.q
-    digits = []
-    while q:
-        b = -((-n) // q)  # ceil(n/q)
-        digits.append(b)
-        n, q = q, b * q - n
-    return HJChain(tuple(-b for b in digits))
+    return HJChain(tuple(-b for b, count in _hj_runs(s.n, s.q) for _ in range(count)))
 
 
 def singularity_type_from_rotation(n: int, a: int, b: int) -> CyclicSingularity:
@@ -114,19 +123,8 @@ def check_cover_multiplicativity(y_euler: Fraction, y_sign: Fraction,
 def resolve_invariants(x: OrbifoldSurface) -> tuple[Fraction, Fraction, int]:
     """Invariants of the minimal resolution: each exceptional curve of every
     resolution chain bumps the Euler number by one and drops the signature
-    by one (the chains are negative definite).  Chains are counted, not built:
-    while 2q >= n the next floor(q/d) entries are -2 and each takes d = n - q off n and q."""
-    blowups = 0
-    for p in x.points:
-        n, q = p.n, p.q
-        while q:
-            if 2 * q >= n:
-                d = n - q
-                blowups += q // d
-                n, q = d + q % d, q % d
-            else:
-                blowups += 1
-                n, q = q, -n % q
+    by one (the chains are negative definite).  Chains are counted, not built."""
+    blowups = sum(count for p in x.points for _, count in _hj_runs(p.n, p.q))
     return (Fraction(x.euler) + blowups, Fraction(x.signature) - blowups, blowups)
 
 

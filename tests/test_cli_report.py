@@ -271,3 +271,94 @@ def test_classify_reads_a_resolution_with_rational_strings(tmp_path, capsys):
                              "plurigenera": {"2": 1, "3": 1}}))
     assert main(["classify", str(c)]) == 0
     assert "kodaira_dimension     1" in capsys.readouterr().out
+
+
+def test_deviations_are_exactly_the_flagged_entries(default_report):
+    flagged = {e["id"] for e in default_report.entries if e["status"] == "flagged"}
+    assert set(rpt.DEVIATIONS) == flagged
+
+
+def _dimension_three_for_gamma_tilde_at_weight_three(monkeypatch):
+    from ballquot import dimension as dim
+    real, tilde = dim.dimension, dim.build_gamma_tilde_dataset()
+    monkeypatch.setattr(dim, "dimension",
+                        lambda ds, k: 3 if ds == tilde and k == 3 else real(ds, k))
+
+
+def _form_of_twice_b(monkeypatch):
+    from ballquot import cyclic_algebra as ca, hermitian
+    monkeypatch.setattr(hermitian, "H_b", lambda: hermitian.HermMatrix.from_alg_elt(
+        ca.b_element().scale(2)))
+
+
+def _discriminant_with_seven_squared(monkeypatch):
+    from ballquot import order_arithmetic as oa
+    real = oa.discriminant
+    monkeypatch.setattr(oa, "discriminant",
+                        lambda *a: {**real(*a), "factorization": {2: 6, 7: 2}})
+
+
+def _invariance_failing_at_three_and_five(monkeypatch):
+    from ballquot import order_arithmetic as oa
+    real = oa.iota_b_invariance_report
+    monkeypatch.setattr(oa, "iota_b_invariance_report",
+                        lambda *a: {**real(*a), "denominator_primes": [3, 5]})
+
+
+def _l_value_doubled(monkeypatch):
+    from ballquot import lfunctions as lf
+    from ballquot.symreal import SymbolicReal
+    real = lf.dirichlet_L_value
+    monkeypatch.setattr(lf, "dirichlet_L_value",
+                        lambda n, chi: real(n, chi) * SymbolicReal.rational(2))
+
+
+OFF_DEVIATION = {
+    "dim_tilde_k3": (_dimension_three_for_gamma_tilde_at_weight_three, 3),
+    "hb_determinant": (_form_of_twice_b, "24"),
+    "order_discriminant": (_discriminant_with_seven_squared, "2^6 * 7^2"),
+    "iota_b_invariance": (_invariance_failing_at_three_and_five,
+                          {"denominator_primes": [3, 5], "b_in_order": True,
+                           "adjugate_of_b_in_order": True}),
+    "l_value_printed_constant": (_l_value_doubled, "64/2401 * pi^3 * 7^(1/2)"),
+}
+
+
+@pytest.mark.parametrize("entry_id", sorted(OFF_DEVIATION))
+def test_a_value_off_its_documented_deviation_is_a_mismatch(monkeypatch, entry_id):
+    patch, computed = OFF_DEVIATION[entry_id]
+    patch(monkeypatch)
+    r = rpt.run_all()
+    entry = next(e for e in r.entries if e["id"] == entry_id)
+    assert (entry["computed"], entry["status"]) == (computed, "mismatch")
+    assert r.exit_code() == 1
+
+
+def _refuse_to_run(*args, **kwargs):
+    raise AssertionError("the ceiling should refuse this before any work")
+
+
+@pytest.mark.parametrize("argv, patched", [
+    (["lvalue", "--weight", "403"], "bernoulli_number"),
+    (["lvalue", "--numeric", "--terms", "10000001"], "l_series_oracle"),
+])
+def test_lvalue_refuses_work_above_its_ceilings(monkeypatch, capsys, argv, patched):
+    from ballquot import lfunctions as lf
+    monkeypatch.setattr(lf, patched, _refuse_to_run)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "config error" in captured.err
+
+
+@pytest.mark.parametrize("n", [100000007, 1000002])
+def test_resolve_refuses_a_chain_above_its_ceiling(monkeypatch, capsys, n):
+    from ballquot import singularities as sg
+    monkeypatch.setattr(sg, "hj_expand", _refuse_to_run)
+    assert main(["resolve", str(n), str(n - 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "config error" in captured.err
+
+
+def test_resolve_prints_a_chain_at_its_ceiling(capsys):
+    assert main(["resolve", "1000001", "1000000"]) == 0
+    assert capsys.readouterr().out.strip() == "(-2)" * 1000000

@@ -121,3 +121,8 @@ def test_branch_solver_finds_the_unique_solution():
     count, pts = sols[0]
     assert count == 3
     assert sorted((p.n, p.q) for p in pts) == [(3, 2)] * 3
+
+
+def test_runs_of_twos_expand_to_the_whole_chain():
+    assert sg.hj_expand(sg.CyclicSingularity(100001, 100000)).self_intersections == (-2,) * 100000
+    assert sg.hj_expand(sg.CyclicSingularity(11, 9)).self_intersections == (-2, -2, -2, -2, -3)
