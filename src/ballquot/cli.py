@@ -33,11 +33,12 @@ def _cmd_lvalue(args) -> int:
         raise rpt.ConfigError(f"need --weight <= {MAX_WEIGHT} and --terms <= {MAX_TERMS}")
     chi = lf.DirichletCharacter.kronecker(-7)
     val = lf.dirichlet_L_value(args.weight, chi)
-    print(val)
-    if args.numeric:
+    lines = [str(val)]
+    if args.numeric:  # computed in full before anything is printed
         series, tail = lf.l_series_oracle(args.weight, chi, args.terms)
-        print(f"closed form = {val.to_float():.15f}")
-        print(f"series      = {series:.15f} (tail bound {tail:.2e})")
+        lines += [f"closed form = {val.to_float():.15f}",
+                  f"series      = {series:.15f} (tail bound {tail:.2e})"]
+    print("\n".join(lines))
     return 0
 
 

@@ -9,6 +9,11 @@ t^3 - T(x) t^2 + S(x) t - nrd(x) over K (Reiner, Maximal Orders, section 9),
 so the reduced norm, the adjugate x^# = x^2 - T(x) x + S(x) and the inverse
 x^# / nrd(x) all come from algebra products and the reduced trace.  The
 embedding of D into M_3(L) serves only the hermitian forms.
+
+Where only the L-component of a product is read (the reduced norm x x^#,
+and the reduced trace trd(xy) of the Gram matrix), `product_x0` gives it
+from the three of the nine component products that reach it:
+(xy)_0 = x0 y0 + alpha (x1 sigma^-1(y2) + x2 sigma^-2(y1)).
 """
 
 from __future__ import annotations
@@ -86,6 +91,12 @@ class AlgElt:
         al = alpha()
         return AlgElt(low[0] + al * high[0], low[1] + al * high[1], low[2])
 
+    def product_x0(self, o: "AlgElt") -> CycElt:
+        """(self * o).x0, without the other two components: the terms x_i u^i * y_j u^j
+        with i + j in {0, 3}, as in `__mul__`."""
+        high = self.x1 * o.x2.galois(4) + self.x2 * o.x1.galois(2)
+        return self.x0 * o.x0 + alpha() * high
+
     def scale(self, c: CycElt | Fraction | int) -> "AlgElt":
         """c * self for c in L or Q: c multiplies each component from the left."""
         return AlgElt(c * self.x0, c * self.x1, c * self.x2)
@@ -107,11 +118,11 @@ class AlgElt:
 
     def reduced_norm(self) -> CycElt:
         """nrd(x) in K: the L-component of x x^#."""
-        return (self * self.adjugate()).x0
+        return self.product_x0(self.adjugate())
 
     def inverse(self) -> "AlgElt":
         adj = self.adjugate()
-        nrd = (self * adj).x0
+        nrd = self.product_x0(adj)
         if nrd.is_zero():
             raise NotInvertible("zero is not invertible")
         return adj.scale(nrd.inverse())

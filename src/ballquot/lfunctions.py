@@ -186,7 +186,9 @@ def l_series_oracle(n: int, chi: DirichletCharacter, terms: int) -> tuple[float,
     if n < 2 or terms < 10:
         raise ValueError("need n >= 2 and terms >= 10")
     tail = terms ** (1 - n) / (n - 1)
-    return math.fsum(chi(m) / m ** n for m in range(1, terms + 1)), tail
+    f = chi.modulus
+    period = [chi(r) for r in range(f)]  # chi(m) = period[m % f], read once
+    return math.fsum(period[m % f] / m ** n for m in range(1, terms + 1)), tail
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,16 @@
 `det`, `inverse` and `char_poly` are formulas for 3x3 matrices of `CycElt`s
 and need at most one field inverse.  `gauss_jordan` is the only elimination
 in the package: it serves every larger exact system, over `Fraction` or
-`CycElt` entries alike.
+`CycElt` entries alike, with one update rule for each.
+
+- Rational entries (`int` or `Fraction`) are eliminated over the integers:
+  each row is cleared of its denominators, and Bareiss's fraction-free
+  update a <- (p*a - f*w) // prev keeps every entry a minor of the cleared
+  matrix, so no gcd is taken until the result is divided out at the end.
+- `CycElt` entries keep the field update a <- a - f*(w/p).  Over Q(zeta_N)
+  the exact division of Bareiss's rule is itself a field inverse, and its
+  unreduced entries make every product dearer: on the 9x9 Gram matrix of
+  b^-1*O*b it took 8.9 ms against 2.2 ms for the field rule.
 
 The program uses `mat`, `det`, `trace`, `char_poly` and `conj_transpose` for
 the hermitian forms, and `gauss_jordan`.  `mat_mul` and `inverse` have no
@@ -14,6 +23,7 @@ algebra embedding against `mat_mul` and `gauss_jordan` against `inverse`.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
 
 from .cyclotomic import CycElt
 
@@ -80,8 +90,10 @@ def gauss_jordan(rows):
     det is nonzero the reduced rows hold the identity there, so reducing
     [A | B] gives [I | A^-1 B]; when det is zero they are only partly reduced.
     Entries are int, Fraction or CycElt: anything with +, -, *, truth meaning
-    nonzero, and an exact 1 / x."""
+    nonzero, and an exact 1 / x.  Rational entries come back as Fractions."""
     a = [list(row) for row in rows]
+    if all(isinstance(v, (int, Fraction)) for row in a for v in row):
+        return _bareiss(a)
     n = len(a)
     det = 1
     for col in range(n):
@@ -101,3 +113,46 @@ def gauss_jordan(rows):
             if r != col and f:
                 a[r][col:] = [v - f * w for v, w in zip(a[r][col:], pivot_row)]
     return det, a
+
+
+def _bareiss(a: list[list]) -> tuple[Fraction, list[list[Fraction]]]:
+    """`gauss_jordan` of rational rows, in integers (Bareiss, Math. Comp. 22, 1968).
+
+    Row r is scaled by the lcm scale[r] of its denominators.  After the step
+    on column col, every entry is prev times the entry the field rule holds
+    for the scaled rows, prev being the leading (col+1)-minor of the scaled
+    rows in pivot order; so the field rule's rows for the given ones are
+    these over prev, and rows not yet pivoted also over their own scale."""
+    n = len(a)
+    scale = [lcm(*(v.denominator for v in row)) for row in a]
+    a = [[v.numerator * (c // v.denominator) for v in row] for row, c in zip(a, scale)]
+    sign, prev = 1, 1
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
+            return Fraction(0), _divide_out(a, col, prev, scale)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            scale[col], scale[piv] = scale[piv], scale[col]
+            sign = -sign
+        # left of col each row is zero but for a pivot row's stale diagonal,
+        # which `_divide_out` replaces by 1: only columns col.. change
+        w = a[col][col:]
+        p = w[0]
+        for r in range(n):
+            if r != col:
+                f = a[r][col]
+                a[r][col:] = ([(p * v - f * x) // prev for v, x in zip(a[r][col:], w)] if f
+                              else [p * v // prev for v in a[r][col:]])
+        prev = p
+    return Fraction(sign * prev, prod(scale)), _divide_out(a, n, prev, scale)
+
+
+def _divide_out(a: list[list[int]], done: int, prev: int,
+                scale: list[int]) -> list[list[Fraction]]:
+    """The field rule's rows from Bareiss's after `done` pivots: the identity
+    in the first `done` columns, the rest over prev and, for rows not yet
+    pivoted, over their scale too."""
+    return [[Fraction(int(r == j)) for j in range(done)]
+            + [Fraction(v, prev if r < done else prev * scale[r]) for v in row[done:]]
+            for r, row in enumerate(a)]

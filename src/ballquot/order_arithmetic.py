@@ -22,6 +22,7 @@ torsion-freeness arithmetic for the principal congruence subgroup.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -145,21 +146,26 @@ class OrderBasis:
         comps = (x.x0, x.x1, x.x2)
         common = math.lcm(*(c.den for c in comps))
         rhs = [a * (common // c.den) for c in comps for a in c.num]
-        sol = [Fraction(sum(m * v for m, v in zip(row, rhs)), den * common) for row in rows]
-        return [_K_elt(sol[2 * i], sol[2 * i + 1]) for i in range(9)]
+        # p_k + q_k*lambda over den*common, canonicalised by _make: so its den
+        # is 1 exactly when p_k and q_k are integers, i.e. the coordinate is in o_K
+        sol = [sum(map(operator.mul, row, rhs)) for row in rows]
+        return [CycElt._make(7, (p, q, q, 0, q, 0), den * common)
+                for p, q in zip(sol[0::2], sol[1::2])]
 
 
 def gram_matrix(basis: OrderBasis) -> list[list[CycElt]]:
-    """G[i][j] = reduced trace of x_i * x_j, an element of K."""
-    g = []
-    for xi in basis.elements:
-        row = []
-        for xj in basis.elements:
-            t = (xi * xj).reduced_trace()
+    """G[i][j] = reduced trace of x_i * x_j, an element of K.
+
+    trd(xy) = trd(yx), so only the entries with i <= j are computed, each
+    from the L-component of the product alone."""
+    xs = basis.elements
+    g = [[None] * len(xs) for _ in xs]
+    for i, xi in enumerate(xs):
+        for j in range(i, len(xs)):
+            t = xi.product_x0(xs[j]).trace_to_K()
             if not t.in_K():
                 raise BasisNotIntegral("reduced trace landed outside K")
-            row.append(t)
-        g.append(row)
+            g[i][j] = g[j][i] = t
     return g
 
 
@@ -218,8 +224,7 @@ def _iota_b_denominators(ob: OrderBasis, b: AlgElt):
     """For each basis element x, in order, the common denominator of the
     K-coordinates of iota_b(x)."""
     for x in ob.elements:
-        coords = ob.coordinates(x.iota_b(b))
-        yield math.lcm(*(v.denominator for c in coords for v in K_coords(c)))
+        yield math.lcm(*(c.den for c in ob.coordinates(x.iota_b(b))))
 
 
 def is_iota_b_invariant(basis: OrderBasis | None = None, b: AlgElt | None = None) -> bool:
@@ -250,7 +255,7 @@ def iota_b_invariance_report(basis: OrderBasis | None = None,
             denom_primes.update(_factor_int(d))
 
     def in_order(x: AlgElt) -> bool:
-        return all(is_K_integral(c) for c in ob.coordinates(x))
+        return all(c.den == 1 for c in ob.coordinates(x))
 
     nrd = belt.reduced_norm()
     adj = belt.adjugate()
