@@ -9,23 +9,24 @@ audited.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
+
+from . import validated
 
 
 class Ambiguous(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SurfaceInvariants:
+class SurfaceInvariants(NamedTuple):
     c2: Fraction
     c1_sq: Fraction
     q_irr: Fraction
     p_g: Fraction
     chi: Fraction
     signature: Fraction
-    plurigenera: dict[int, int] = field(hash=False, default_factory=dict)
+    plurigenera: dict[int, int]
     minimal: bool = False
 
 
@@ -105,8 +106,8 @@ def kodaira_classify(s: SurfaceInvariants) -> tuple[int, dict[int, str]]:
 # ---------------------------------------------------------------------------
 # elliptic fibrations
 
-@dataclass(frozen=True)
-class KodairaFiber:
+@validated
+class KodairaFiber(NamedTuple):
     kind: str                 # "I_n" with n >= 1, or "smooth"
     multiplicity: int = 1
     components: tuple[str, ...] = ()

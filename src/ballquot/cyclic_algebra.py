@@ -18,11 +18,10 @@ from the three of the nine component products that reach it:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import matrix3 as m3
+from . import Frozen, matrix3 as m3
 from .cyclotomic import CycElt, alpha, lam, lam_bar
 
 
@@ -34,13 +33,10 @@ class NotIotaInvariant(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class AlgElt:
+class AlgElt(Frozen):
     """x0 + x1*u + x2*u^2 with xi in L = Q(zeta_7)."""
 
-    x0: CycElt
-    x1: CycElt
-    x2: CycElt
+    __slots__ = _fields = ("x0", "x1", "x2")  # each a CycElt
 
     @staticmethod
     def from_L(a: CycElt) -> "AlgElt":

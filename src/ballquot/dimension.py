@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from importlib import resources
+from typing import NamedTuple
 
+from . import read_data, validated
 from .cyclotomic import CycElt
 
 
@@ -28,8 +28,8 @@ class NotAnInteger(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FixedPointClass:
+@validated
+class FixedPointClass(NamedTuple):
     """`j` and `normal_eigenvalues` are exponents e of zeta_N^e, reduced mod N."""
     r: int
     virtual_euler: Fraction
@@ -50,8 +50,7 @@ class FixedPointClass:
             raise ValueError("class order must be positive")
 
 
-@dataclass(frozen=True)
-class ClassDataset:
+class ClassDataset(NamedTuple):
     label: str
     cyclotomic_modulus: int
     classes: tuple[FixedPointClass, ...]
@@ -89,11 +88,17 @@ def dimension(dataset: ClassDataset, k: int) -> int:
     if k < 2:
         raise ValueError("weights below 2 are out of scope")
     n = dataset.cyclotomic_modulus
-    total = CycElt.zero(n)
+    # w zeta^(jk) R is R's numerators shifted by jk (x^n = 1): add up integers over one den
+    acc, den = [0] * n, 1
     for c in dataset.classes:
         coeff = R_coefficient(c.r, k, n, c.normal_eigenvalues)
-        w = Fraction(c.virtual_euler, c.m * (c.r + 1))
-        total = total + (CycElt.zeta(n, c.j * k) * coeff) * w
+        w = Fraction(c.virtual_euler, c.m * (c.r + 1) * coeff.den)
+        grow = w.denominator // math.gcd(den, w.denominator)
+        acc, den = [a * grow for a in acc], den * grow
+        scale = w.numerator * (den // w.denominator)
+        for i, a in enumerate(coeff.num, c.j * k):
+            acc[i % n] += scale * a
+    total = CycElt.from_poly(n, acc) * Fraction(1, den)
     if total != total.conjugate():
         raise NotAnInteger(f"class sum {total} is not real")
     if not total.is_rational():
@@ -115,8 +120,7 @@ def _exponent(spec: list, n: int) -> int:
 
 
 def _load(name: str) -> ClassDataset:
-    raw = json.loads(resources.files("ballquot.data")
-                     .joinpath(name).read_text())
+    raw = json.loads(read_data(name))
     n = raw["cyclotomic_modulus"]
     classes = tuple(
         FixedPointClass(

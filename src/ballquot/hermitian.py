@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from . import matrix3 as m3
+from . import matrix3 as m3, validated
 from .cyclotomic import CycElt, zeta7
 from .cyclic_algebra import AlgElt, NotIotaInvariant
 
@@ -17,15 +17,14 @@ class ZeroVector(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     positives: int
     negatives: int
     zeros: int
 
 
-@dataclass(frozen=True)
-class HermMatrix:
+@validated
+class HermMatrix(NamedTuple):
     entries: m3.Mat
 
     def __post_init__(self):

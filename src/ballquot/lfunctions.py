@@ -9,10 +9,11 @@ powers of pi cancel and the result is an exact rational.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
+from . import validated
 from .symreal import SymbolicReal, NotRational
 
 
@@ -90,12 +91,12 @@ def kronecker_symbol(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
-@dataclass(frozen=True)
-class DirichletCharacter:
+@validated
+class DirichletCharacter(NamedTuple):
     """A real character mod f, stored by its values on units."""
 
     modulus: int
-    values: dict[int, int] = field(hash=False)
+    values: dict[int, int]
 
     def __post_init__(self):
         for a, v in self.values.items():
@@ -194,14 +195,13 @@ def l_series_oracle(n: int, chi: DirichletCharacter, terms: int) -> tuple[float,
 # ---------------------------------------------------------------------------
 # covolume
 
-@dataclass(frozen=True)
-class VolumeInput:
+class VolumeInput(NamedTuple):
     D_K: int
     D_F: int
     field_degree: int
     zeta_value: SymbolicReal
     l_value: SymbolicReal
-    local_factors: dict[str, Fraction] = field(hash=False)
+    local_factors: dict[str, Fraction]
 
 
 def covolume(v: VolumeInput) -> Fraction:

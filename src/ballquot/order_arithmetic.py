@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from typing import NamedTuple
 
-from . import matrix3 as m3
+from . import Frozen, matrix3 as m3
 from .cyclotomic import CycElt, euler_phi, lam, lam_bar
 from .cyclic_algebra import AlgElt, b_element
 
@@ -89,11 +89,10 @@ def lambda_valuation(a: CycElt) -> int:
 
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OrderBasis:
+class OrderBasis(Frozen):
     """An o_K-basis (9 elements) of an order in D."""
 
-    elements: tuple[AlgElt, ...]
+    _fields = ("elements",)  # tuple[AlgElt, ...]; no __slots__, for cached_property
 
     @staticmethod
     def standard() -> "OrderBasis":
@@ -278,8 +277,7 @@ def iota_b_invariance_report(basis: OrderBasis | None = None,
 # ---------------------------------------------------------------------------
 # torsion
 
-@dataclass(frozen=True)
-class TorsionReport:
+class TorsionReport(NamedTuple):
     allowed_orders: frozenset[int]
     excluded: dict[int, str]
 

@@ -16,11 +16,9 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from fractions import Fraction
 
-from . import __version__
+from . import __version__, read_data
 from . import cyclic_algebra as ca
 from . import hermitian
 from . import matrix3 as m3
@@ -127,10 +125,10 @@ def covolume(cfg: dict, zeta_2: SymbolicReal, l_value: SymbolicReal) -> Fraction
     return lf.covolume(lf.VolumeInput(7, 1, 1, zeta_2, l_value, local))
 
 
-@dataclass
 class VerificationReport:
-    entries: list[dict] = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
+    def __init__(self) -> None:
+        self.entries: list[dict] = []
+        self.metadata: dict = {}
 
     def add(self, entry_id: str, anchor: str, expected, computed,
             note: str | None = None, agrees: bool | None = None) -> None:
@@ -162,6 +160,7 @@ class VerificationReport:
     def to_json(self, with_timestamp: bool = False) -> str:
         doc = {"report": self.body()}
         if with_timestamp:
+            from datetime import datetime, timezone
             doc["generated_at"] = datetime.now(timezone.utc).isoformat()
         return json.dumps(doc, indent=1, sort_keys=True, default=str)
 
@@ -330,9 +329,7 @@ def run_all(config_path: str | None = None) -> VerificationReport:
           "Kodaira dimension of the resolved normalizer quotient",
           1, cl.kodaira_classify(xgt_inv)[0])
 
-    from importlib import resources
-    fib_raw = json.loads(resources.files("ballquot.data")
-                         .joinpath("fibrations.json").read_text())
+    fib_raw = json.loads(read_data("fibrations.json"))
     for label, data in sorted(fib_raw.items()):
         fibers = [cl.KodairaFiber(f["kind"], f["multiplicity"], tuple(f["components"]))
                   for f in data["fibers"]]

@@ -11,19 +11,19 @@ extra quotient points that meet both height targets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
-from . import matrix3 as m3
+from . import matrix3 as m3, validated
 
 
 class NotPrimitive(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CyclicSingularity:
+@validated
+class CyclicSingularity(NamedTuple):
     n: int
     q: int
 
@@ -32,8 +32,7 @@ class CyclicSingularity:
             raise ValueError(f"({self.n},{self.q}) is not a valid cyclic type")
 
 
-@dataclass(frozen=True)
-class HJChain:
+class HJChain(NamedTuple):
     self_intersections: tuple[int, ...]
 
     def intersection_matrix(self) -> list[list[int]]:
@@ -49,8 +48,7 @@ class HJChain:
         return int(m3.gauss_jordan(self.intersection_matrix())[0])
 
 
-@dataclass(frozen=True)
-class OrbifoldSurface:
+class OrbifoldSurface(NamedTuple):
     euler: Fraction
     signature: Fraction
     points: tuple[CyclicSingularity, ...]

@@ -11,19 +11,19 @@ between two `Fraction`s, from `pi_interval` and an integer square root;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import isqrt
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
+
+from . import Frozen
 
 
 class NotRational(ValueError):
     """Raised when a SymbolicReal is forced to a rational but carries pi or sqrt(7)."""
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
     """The closed interval [a, b] with rational ends."""
 
     a: Fraction
@@ -66,11 +66,10 @@ def _normalize(terms: Mapping[tuple[int, int], Fraction]) -> dict[tuple[int, int
     return out
 
 
-@dataclass(frozen=True)
-class SymbolicReal:
+class SymbolicReal(Frozen):
     """Finite sum of terms q * pi^a * 7^(b/2), immutable and canonically reduced."""
 
-    _terms: tuple[tuple[int, int, Fraction], ...]
+    __slots__ = _fields = ("_terms",)  # tuple[tuple[int, int, Fraction], ...]
 
     @staticmethod
     def from_terms(terms: Mapping[tuple[int, int], Fraction]) -> "SymbolicReal":
