@@ -14,12 +14,24 @@ Where only the L-component of a product is read (the reduced norm x x^#,
 and the reduced trace trd(xy) of the Gram matrix), `product_x0` gives it
 from the three of the nine component products that reach it:
 (xy)_0 = x0 y0 + alpha (x1 sigma^-1(y2) + x2 sigma^-2(y1)).
+
+The product, `product_x0` and `iota` share one integer kernel.  It lifts each
+component to the group ring Z[C_7] = Z[x]/(x^7 - 1), which maps onto Z[zeta]:
+its power-basis numerators, with coefficient 0 at x^6, over the operand's
+common denominator.  Every Galois map the three need (sigma^-i: zeta ->
+zeta^(4^i), conj: zeta -> zeta^6, and zeta -> zeta^3, zeta^5 for iota) is
+the index map a -> k*a mod 7 of Z[C_7], applied inside the convolution.
+u^3 = alpha enters as alpha's integer vector over its denominator 2, and
+conj(alpha) likewise, both read once from `alpha()`.  Each output component
+goes back to the power basis through 1 + zeta + ... + zeta^6 = 0 and is
+canonicalised once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
+from math import lcm
 
 from . import Frozen, matrix3 as m3
 from .cyclotomic import CycElt, alpha, lam, lam_bar
@@ -67,31 +79,12 @@ class AlgElt(Frozen):
         return self + (-o)
 
     def __mul__(self, o: "AlgElt") -> "AlgElt":
-        # a u = u a^sigma, so u^i y = y^(sigma^-i) u^i and
-        # x_i u^i * y_j u^j = x_i y_j^(sigma^-i) u^(i+j), with u^3 = alpha.
-        x = (self.x0, self.x1, self.x2)
-        y = (o.x0, o.x1, o.x2)
-        low = [CycElt.zero(7)] * 3
-        high = [CycElt.zero(7)] * 2
-        for i in range(3):
-            if x[i].is_zero():
-                continue
-            for j in range(3):
-                if y[j].is_zero():
-                    continue
-                term = x[i] * (y[j].galois(pow(4, i, 7)) if i else y[j])
-                if i + j < 3:
-                    low[i + j] = low[i + j] + term
-                else:
-                    high[i + j - 3] = high[i + j - 3] + term
-        al = alpha()
-        return AlgElt(low[0] + al * high[0], low[1] + al * high[1], low[2])
+        return AlgElt(*_product(self, o, (0, 1, 2)))
 
     def product_x0(self, o: "AlgElt") -> CycElt:
         """(self * o).x0, without the other two components: the terms x_i u^i * y_j u^j
         with i + j in {0, 3}, as in `__mul__`."""
-        high = self.x1 * o.x2.galois(4) + self.x2 * o.x1.galois(2)
-        return self.x0 * o.x0 + alpha() * high
+        return _product(self, o, (0,))[0]
 
     def scale(self, c: CycElt | Fraction | int) -> "AlgElt":
         """c * self for c in L or Q: c multiplies each component from the left."""
@@ -99,6 +92,13 @@ class AlgElt(Frozen):
 
     def is_zero(self) -> bool:
         return self.x0.is_zero() and self.x1.is_zero() and self.x2.is_zero()
+
+    def numerators(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The power-basis numerators of x0, x1, x2 over their least common denominator."""
+        comps = (self.x0, self.x1, self.x2)
+        den = lcm(*(c.den for c in comps))
+        return tuple(c.num if c.den == den else tuple(a * (den // c.den) for a in c.num)
+                     for c in comps), den
 
     # -- reduced characteristic polynomial
 
@@ -141,8 +141,10 @@ class AlgElt(Frozen):
             = conj(x0) + conj(alpha) sigma^2(conj(x2)) u + conj(alpha) sigma(conj(x1)) u^2,
         where sigma^2 o conj is zeta -> zeta^3 and sigma o conj is zeta -> zeta^5.
         """
-        albar = alpha().conjugate()
-        return AlgElt(self.x0.conjugate(), albar * self.x2.galois(3), albar * self.x1.galois(5))
+        _, conj_twist = _twists()
+        return AlgElt(_component([(_ONE, self.x0.num, 6)], (), None, self.x0.den),
+                      _component((), [(_ONE, self.x2.num, 3)], conj_twist, self.x2.den),
+                      _component((), [(_ONE, self.x1.num, 5)], conj_twist, self.x1.den))
 
     def iota_b(self, b: "AlgElt") -> "AlgElt":
         """Twisted involution x -> b * iota(x) * b^{-1}; b must be iota-invariant."""
@@ -150,6 +152,66 @@ class AlgElt(Frozen):
 
     def __str__(self) -> str:
         return f"({self.x0}) + ({self.x1})*u + ({self.x2})*u^2"
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel: components of L as integer vectors of Z[C_7] = Z[x]/(x^7 - 1)
+
+# _TARGETS[k][a][b] = (a + k*b) mod 7: x^a times the image of x^b under
+# zeta -> zeta^k is x^(a + k*b)
+_TARGETS = tuple(tuple(tuple((a + k * b) % 7 for b in range(7)) for a in range(7))
+                 for k in range(7))
+_SIGMA_INV = (1, 4, 2)  # sigma^-i is zeta -> zeta^(4^i)
+_ONE = (1,)  # the unit of Z[C_7]: a term (_ONE, q, k) is the Galois image of q alone
+
+
+@cache
+def _twists() -> tuple[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]]:
+    """alpha and conj(alpha), each as power-basis numerators over its denominator."""
+    a = alpha()
+    b = a.conjugate()
+    return (a.num, a.den), (b.num, b.den)
+
+
+def _mul_into(acc: list[int], p, q, k: int) -> None:
+    """acc += p * (q under zeta -> zeta^k), all in Z[C_7]."""
+    for pa, targets in zip(p, _TARGETS[k]):
+        if pa:
+            for t, qb in zip(targets, q):
+                acc[t] += pa * qb
+
+
+def _component(plain, twisted, twist, den: int) -> CycElt:
+    """(sum of p * q^(k) over `plain` + twist * the same sum over `twisted`) / den,
+    an element of L from terms (p, q, k) of integer vectors; the twist is
+    (numerators, denominator), or None when nothing is twisted."""
+    acc = [0] * 7
+    for p, q, k in plain:
+        _mul_into(acc, p, q, k)
+    if twisted:
+        high = [0] * 7
+        for p, q, k in twisted:
+            _mul_into(high, p, q, k)
+        num, twist_den = twist
+        acc = [twist_den * v for v in acc]
+        _mul_into(acc, num, high, 1)
+        den *= twist_den
+    top = acc[6]  # zeta^6 = -(1 + zeta + ... + zeta^5)
+    return CycElt._make(7, [v - top for v in acc[:6]], den)
+
+
+def _product(x: AlgElt, y: AlgElt, components) -> list[CycElt]:
+    """The given components of x * y.  a u = u a^sigma, so u^i y = y^(sigma^-i) u^i
+    and x_i u^i * y_j u^j = x_i y_j^(sigma^-i) u^(i+j), with u^3 = alpha."""
+    (xs, dx), (ys, dy) = x.numerators(), y.numerators()
+    terms = [[] for _ in range(6)]  # by i + j; none at 5, so component 2 has no twist
+    for i, p in enumerate(xs):
+        if any(p):
+            for j, q in enumerate(ys):
+                if any(q):
+                    terms[i + j].append((p, q, _SIGMA_INV[i]))
+    twist, _ = _twists()
+    return [_component(terms[m], terms[m + 3], twist, dx * dy) for m in components]
 
 
 @lru_cache(maxsize=16)

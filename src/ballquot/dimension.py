@@ -17,7 +17,7 @@ from functools import cache
 from typing import NamedTuple
 
 from . import read_data, validated
-from .cyclotomic import CycElt
+from .cyclotomic import CycElt, _reduce
 
 
 class EigenvalueOne(ValueError):
@@ -88,17 +88,20 @@ def dimension(dataset: ClassDataset, k: int) -> int:
     if k < 2:
         raise ValueError("weights below 2 are out of scope")
     n = dataset.cyclotomic_modulus
-    # w zeta^(jk) R is R's numerators shifted by jk (x^n = 1): add up integers over one den
+    # w zeta^(jk) R is R's numerators shifted by jk (x^n = 1): add up integers over one den;
+    # the weight w = virtual_euler / (m (r+1)), over R's den, is wn / wd
     acc, den = [0] * n, 1
     for c in dataset.classes:
         coeff = R_coefficient(c.r, k, n, c.normal_eigenvalues)
-        w = Fraction(c.virtual_euler, c.m * (c.r + 1) * coeff.den)
-        grow = w.denominator // math.gcd(den, w.denominator)
-        acc, den = [a * grow for a in acc], den * grow
-        scale = w.numerator * (den // w.denominator)
+        wn = c.virtual_euler.numerator
+        wd = c.virtual_euler.denominator * c.m * (c.r + 1) * coeff.den
+        grow = wd // math.gcd(den, wd)
+        if grow != 1:
+            acc, den = [a * grow for a in acc], den * grow
+        scale = wn * (den // wd)
         for i, a in enumerate(coeff.num, c.j * k):
             acc[i % n] += scale * a
-    total = CycElt.from_poly(n, acc) * Fraction(1, den)
+    total = CycElt._make(n, _reduce(n, acc), den)
     if total != total.conjugate():
         raise NotAnInteger(f"class sum {total} is not real")
     if not total.is_rational():

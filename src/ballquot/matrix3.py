@@ -15,9 +15,11 @@ in the package: it serves every larger exact system, over `Fraction` or
   b^-1*O*b it took 8.9 ms against 2.2 ms for the field rule.
 
 The program uses `mat`, `det`, `trace`, `char_poly` and `conj_transpose` for
-the hermitian forms, and `gauss_jordan`.  `mat_mul` and `inverse` have no
-caller in the program: the tests keep them as references, checking the
-algebra embedding against `mat_mul` and `gauss_jordan` against `inverse`.
+the hermitian forms, `gauss_jordan`, and `integer_inverse`, which returns the
+same integer elimination's inverse as integers, without dividing it out.
+`mat_mul` and `inverse` have no caller in the program: the tests keep them as
+references, checking the algebra embedding against `mat_mul` and
+`gauss_jordan` against `inverse`.
 """
 
 from __future__ import annotations
@@ -126,11 +128,22 @@ def _bareiss(a: list[list]) -> tuple[Fraction, list[list[Fraction]]]:
     n = len(a)
     scale = [lcm(*(v.denominator for v in row)) for row in a]
     a = [[v.numerator * (c // v.denominator) for v in row] for row, c in zip(a, scale)]
+    done, sign, prev = _fraction_free(a, scale)
+    det = Fraction(sign * prev, prod(scale)) if done == n else Fraction(0)
+    return det, _divide_out(a, done, prev, scale)
+
+
+def _fraction_free(a: list[list[int]], scale: list[int]) -> tuple[int, int, int]:
+    """Bareiss's update on the integer rows `a`, in place, swapping `scale`
+    along with them.  Returns (done, sign, prev): the number of columns
+    pivoted (fewer than n when a column has no pivot), the sign of the row
+    permutation, and the leading done-minor of the rows in pivot order."""
+    n = len(a)
     sign, prev = 1, 1
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col]), None)
         if piv is None:
-            return Fraction(0), _divide_out(a, col, prev, scale)
+            return col, sign, prev
         if piv != col:
             a[col], a[piv] = a[piv], a[col]
             scale[col], scale[piv] = scale[piv], scale[col]
@@ -145,7 +158,20 @@ def _bareiss(a: list[list]) -> tuple[Fraction, list[list[Fraction]]]:
                 a[r][col:] = ([(p * v - f * x) // prev for v, x in zip(a[r][col:], w)] if f
                               else [p * v // prev for v in a[r][col:]])
         prev = p
-    return Fraction(sign * prev, prod(scale)), _divide_out(a, n, prev, scale)
+    return n, sign, prev
+
+
+def integer_inverse(a: list[list[int]]) -> tuple[list[list[int]], int]:
+    """The inverse of a nonsingular n x n integer matrix as integer rows over
+    one positive denominator, read from the fraction-free elimination of
+    [A | I] that `gauss_jordan` makes: its right block is prev * A^-1."""
+    n = len(a)
+    rows = [row + [int(r == j) for j in range(n)] for r, row in enumerate(a)]
+    done, _, prev = _fraction_free(rows, [1] * n)
+    if done < n:
+        raise SingularMatrix("the matrix is singular")
+    s = 1 if prev > 0 else -1
+    return [[s * v for v in row[n:]] for row in rows], s * prev
 
 
 def _divide_out(a: list[list[int]], done: int, prev: int,

@@ -125,26 +125,27 @@ class OrderBasis(Frozen):
 
         Column 2k (2k+1) of the system holds the 18 rational coordinates of
         e_k (lambda*e_k), so the solution pairs are (p_k, q_k) with
-        x = sum_k (p_k + q_k*lambda) * e_k."""
-        cols = []
+        x = sum_k (p_k + q_k*lambda) * e_k.  Column c is its integer column
+        over d_c: A = A' diag(1/d_c), so A^-1 = diag(d_c) A'^-1."""
+        cols, scales = [], []
         for e in self.elements:
             for c in (e, e.scale(lam())):
-                cols.append(c.x0.coeffs + c.x1.coeffs + c.x2.coeffs)
-        det, reduced = m3.gauss_jordan([[col[r] for col in cols]
-                                        + [Fraction(int(r == j)) for j in range(18)]
-                                        for r in range(18)])
-        if not det:
-            raise m3.SingularMatrix("the basis is not linearly independent over K")
-        inv = [row[18:] for row in reduced]
-        den = math.lcm(*(v.denominator for row in inv for v in row))
-        return [[int(v * den) for v in row] for row in inv], den
+                (x0, x1, x2), d = c.numerators()
+                cols.append(x0 + x1 + x2)
+                scales.append(d)
+        try:
+            inv, den = m3.integer_inverse([list(row) for row in zip(*cols)])
+        except m3.SingularMatrix:
+            raise m3.SingularMatrix("the basis is not linearly independent over K") from None
+        rows = [[d * v for v in row] for d, row in zip(scales, inv)]
+        g = math.gcd(den, *(v for row in rows for v in row))
+        return [[v // g for v in row] for row in rows], den // g
 
     def coordinates(self, x: AlgElt) -> list[CycElt]:
         """K-coordinates of x in this basis (9 entries, elements of K)."""
         rows, den = self._coordinate_solver
-        comps = (x.x0, x.x1, x.x2)
-        common = math.lcm(*(c.den for c in comps))
-        rhs = [a * (common // c.den) for c in comps for a in c.num]
+        (x0, x1, x2), common = x.numerators()
+        rhs = x0 + x1 + x2
         # p_k + q_k*lambda over den*common, canonicalised by _make: so its den
         # is 1 exactly when p_k and q_k are integers, i.e. the coordinate is in o_K
         sol = [sum(map(operator.mul, row, rhs)) for row in rows]
@@ -269,7 +270,8 @@ def iota_b_invariance_report(basis: OrderBasis | None = None,
     # b, adj(b) in O means b*O*adj(b) is contained in O, so conjugation by b
     # preserves the localized order at every prime not dividing nrd(b).
     if nrd.is_rational():
-        nrd_primes = set(_factor_int(int(nrd.as_rational())))
+        q = nrd.as_rational()
+        nrd_primes = set(_factor_int(q.numerator)) | set(_factor_int(q.denominator))
         report["invariant_away_from"] = sorted(nrd_primes & denom_primes)
     return report
 

@@ -13,7 +13,6 @@ direct Dirichlet series printed as its expected value.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from fractions import Fraction
@@ -340,6 +339,8 @@ def run_all(config_path: str | None = None) -> VerificationReport:
               f"fiber component accounting ({label})",
               True, cl.fiber_component_accounting(
                   fibers, data["exceptional_minus2"], data["exceptional_minus3"]))
+
+    import hashlib  # only the report hashes: no other subcommand loads OpenSSL
 
     canonical_cfg = json.dumps(cfg, sort_keys=True)
     body = json.dumps({"entries": r.entries, "config": canonical_cfg}, sort_keys=True,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -31,6 +32,16 @@ def test_report_flags_known_discrepancies(default_report):
     assert by_id["iota_b_invariance"]["status"] == "flagged"
     assert by_id["dim_tilde_k3"]["status"] == "flagged"
     assert by_id["covolume"]["status"] == "match"
+
+
+# sha256 of the stdout of `ballquot report --format json`.  A change that adds,
+# removes or rewords an entry updates it and records the move in CHANGES.md.
+REPORT_SHA256 = "8431f7175cfaa0a06d9814e56793796ec42f398edd91fc619d79fa2d635d1c45"
+
+
+def test_the_default_report_is_byte_identical(capsys):
+    assert main(["report", "--format", "json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == REPORT_SHA256
 
 
 def test_report_json_is_deterministic(default_report):

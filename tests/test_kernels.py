@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ballquot import cyclotomic
 from ballquot import lfunctions as lf
 from ballquot import matrix3 as m3
 from ballquot import order_arithmetic as oa
 from ballquot.cyclic_algebra import AlgElt, b_element
-from ballquot.cyclotomic import CycElt
-from tests.test_properties import CASES, algebra_elements, fractions
+from ballquot.cyclotomic import CycElt, lam, lam_bar, zeta7
+from tests.test_properties import CASES, algebra_elements, fractions, reference_matrix
 
 ORDERS = (oa.OrderBasis.standard, oa.OrderBasis.iota_b_stable)
 
@@ -67,6 +68,49 @@ def test_integer_elimination_of_a_singular_system_matches_the_field_rule(a):
 @given(algebra_elements(), algebra_elements())
 def test_product_x0_is_the_first_component_of_the_product(x, y):
     assert x.product_x0(y) == (x * y).x0
+
+
+# the algebra kernel over Z[C_7] against the matrix embedding, built from
+# field products and Galois maps alone
+
+@CASES
+@given(algebra_elements(), algebra_elements())
+def test_the_product_kernel_is_the_matrix_product(x, y):
+    assert reference_matrix(x * y) == m3.mat_mul(reference_matrix(x), reference_matrix(y))
+
+
+@CASES
+@given(algebra_elements())
+def test_the_involution_kernel_is_the_conjugate_transpose(x):
+    assert reference_matrix(x.iota()) == m3.conj_transpose(reference_matrix(x))
+
+
+def test_the_kernel_with_zero_components_and_unequal_denominators():
+    zero = CycElt.zero(7)
+    xs = [AlgElt(zero, lam() * Fraction(1, 2), zeta7() * Fraction(-2, 3)),
+          AlgElt(CycElt.rational(7, Fraction(5, 4)), zero, lam_bar() * Fraction(1, 6)),
+          AlgElt(zeta7() * Fraction(1, 7), lam_bar(), zero),
+          AlgElt.zero()]
+    for x in xs:
+        assert reference_matrix(x.iota()) == m3.conj_transpose(reference_matrix(x))
+        for y in xs:
+            product = x * y
+            assert reference_matrix(product) == m3.mat_mul(reference_matrix(x),
+                                                           reference_matrix(y))
+            assert x.product_x0(y) == product.x0
+    assert xs[0] * xs[3] == xs[3] * xs[0] == AlgElt.zero()
+
+
+def test_the_algebra_kernel_makes_no_field_product_or_galois_map(monkeypatch):
+    x, y = AlgElt(zeta7(), lam() * Fraction(1, 2), lam_bar()), b_element()
+    expected = x * y, x.product_x0(y), x.iota()  # alpha's vectors are cached by now
+
+    def refuse(*args):
+        raise AssertionError("the algebra kernel called a field kernel")
+
+    monkeypatch.setattr(cyclotomic, "_mul", refuse)
+    monkeypatch.setattr(cyclotomic, "_galois", refuse)
+    assert (x * y, x.product_x0(y), x.iota()) == expected
 
 
 def test_gram_matrix_is_the_reduced_trace_of_every_product():

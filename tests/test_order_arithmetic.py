@@ -62,6 +62,15 @@ def test_twisted_involution_does_not_preserve_the_order():
     assert rep["invariant_away_from"] == [3]
 
 
+def test_invariance_report_factors_a_fractional_reduced_norm():
+    # iota_{b/2} = iota_b, and nrd(b/2) = 3/8 has primes 2 and 3 (int(3/8) is 0)
+    half_b = b_element().scale(Fraction(1, 2))
+    rep = oa.iota_b_invariance_report(oa.OrderBasis.standard(), half_b)
+    assert rep["reduced_norm_of_b"].as_rational() == Fraction(3, 8)
+    assert rep["denominator_primes"] == [3]
+    assert rep["invariant_away_from"] == [3]
+
+
 def test_iota_b_stable_order_is_stable():
     stable = oa.OrderBasis.iota_b_stable()
     assert oa.is_iota_b_invariant(stable) is True

@@ -33,6 +33,14 @@ def test_a_cold_run_loads_no_module_it_does_not_execute():
     assert out.splitlines()[-1] == "[0, 0, 0] []"
 
 
+def test_a_subcommand_that_hashes_nothing_loads_no_hashlib():
+    out = run_cold("import sys\n"
+                   "from ballquot.cli import main\n"
+                   "code = main(['volume'])\n"
+                   "print(code, [m for m in ('hashlib', '_hashlib') if m in sys.modules])\n")
+    assert out.splitlines()[-1] == "0 []"
+
+
 def test_the_timestamp_still_comes_with_the_report():
     out = run_cold("from ballquot.cli import main\n"
                    "main(['report', '--timestamp'])\n")
