@@ -1,31 +1,26 @@
 """Exact matrices: 3x3 closed forms over Q(zeta_N), and the one n x n elimination.
 
+`_fraction_free` is the only elimination in the package.  It runs Bareiss's
+fraction-free update a <- (p*a - f*w) // prev (Bareiss, Math. Comp. 22,
+1968) over any integral domain with an exact `//`: every entry stays a minor
+of the input, so each division is exact and no fraction or gcd is made.  It
+has two callers:
+
+- `determinant`, of the 9x9 reduced-trace Gram matrix in
+  `order_arithmetic.discriminant`, whose rows are cleared of denominators
+  into o_K = Z[lambda];
+- `integer_inverse`, of the 18x18 integer system behind
+  `OrderBasis.coordinates`, returned as integer rows over one denominator.
+
 `det`, `inverse` and `char_poly` are formulas for 3x3 matrices of `CycElt`s
-and need at most one field inverse.  `gauss_jordan` is the only elimination
-in the package: it serves every larger exact system, over `Fraction` or
-`CycElt` entries alike, with one update rule for each.
-
-- Rational entries (`int` or `Fraction`) are eliminated over the integers:
-  each row is cleared of its denominators, and Bareiss's fraction-free
-  update a <- (p*a - f*w) // prev keeps every entry a minor of the cleared
-  matrix, so no gcd is taken until the result is divided out at the end.
-- `CycElt` entries keep the field update a <- a - f*(w/p).  Over Q(zeta_N)
-  the exact division of Bareiss's rule is itself a field inverse, and its
-  unreduced entries make every product dearer: on the 9x9 Gram matrix of
-  b^-1*O*b it took 8.9 ms against 2.2 ms for the field rule.
-
-The program uses `mat`, `det`, `trace`, `char_poly` and `conj_transpose` for
-the hermitian forms, `gauss_jordan`, and `integer_inverse`, which returns the
-same integer elimination's inverse as integers, without dividing it out.
-`mat_mul` and `inverse` have no caller in the program: the tests keep them as
-references, checking the algebra embedding against `mat_mul` and
-`gauss_jordan` against `inverse`.
+and need at most one field inverse.  The program uses `mat`, `det`, `trace`,
+`char_poly` and `conj_transpose` for the hermitian forms.  The tests keep
+the closed forms as references too: the algebra embedding is checked against
+`mat_mul`, `determinant` against `det`, and `integer_inverse` against
+`inverse`, which with `mat_mul` has no caller in the program.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-from math import lcm, prod
 
 from .cyclotomic import CycElt
 
@@ -84,60 +79,23 @@ class SingularMatrix(ZeroDivisionError):
     pass
 
 
-def gauss_jordan(rows):
-    """Gauss-Jordan reduction of an n x m matrix (m >= n) on its leading n x n block
-    (Cohen, A Course in Computational Algebraic Number Theory, 2.2).
-
-    Returns (det, reduced): det is the determinant of the leading block.  When
-    det is nonzero the reduced rows hold the identity there, so reducing
-    [A | B] gives [I | A^-1 B]; when det is zero they are only partly reduced.
-    Entries are int, Fraction or CycElt: anything with +, -, *, truth meaning
-    nonzero, and an exact 1 / x.  Rational entries come back as Fractions."""
+def determinant(rows):
+    """The determinant of an n x n matrix over an integral domain: ints, or
+    any entries with -, *, unary -, truth meaning nonzero, and an exact //
+    that also takes the int 1 as divisor.  A singular matrix gives the zero
+    of its entries."""
     a = [list(row) for row in rows]
-    if all(isinstance(v, (int, Fraction)) for row in a for v in row):
-        return _bareiss(a)
-    n = len(a)
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            return a[col][col], a  # the zero of the entries' field
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        p = a[col][col]
-        det = det * p
-        inv = Fraction(1) / p  # a Fraction, not a float, for an int pivot
-        # the pivot row is zero left of col, so only columns col.. change
-        pivot_row = a[col][col:] = [v * inv for v in a[col][col:]]
-        for r in range(n):
-            f = a[r][col]
-            if r != col and f:
-                a[r][col:] = [v - f * w for v, w in zip(a[r][col:], pivot_row)]
-    return det, a
+    done, sign, prev = _fraction_free(a)
+    if done < len(a):
+        return a[done][done]  # column `done` has no pivot: this entry is zero
+    return prev if sign > 0 else -prev
 
 
-def _bareiss(a: list[list]) -> tuple[Fraction, list[list[Fraction]]]:
-    """`gauss_jordan` of rational rows, in integers (Bareiss, Math. Comp. 22, 1968).
-
-    Row r is scaled by the lcm scale[r] of its denominators.  After the step
-    on column col, every entry is prev times the entry the field rule holds
-    for the scaled rows, prev being the leading (col+1)-minor of the scaled
-    rows in pivot order; so the field rule's rows for the given ones are
-    these over prev, and rows not yet pivoted also over their own scale."""
-    n = len(a)
-    scale = [lcm(*(v.denominator for v in row)) for row in a]
-    a = [[v.numerator * (c // v.denominator) for v in row] for row, c in zip(a, scale)]
-    done, sign, prev = _fraction_free(a, scale)
-    det = Fraction(sign * prev, prod(scale)) if done == n else Fraction(0)
-    return det, _divide_out(a, done, prev, scale)
-
-
-def _fraction_free(a: list[list[int]], scale: list[int]) -> tuple[int, int, int]:
-    """Bareiss's update on the integer rows `a`, in place, swapping `scale`
-    along with them.  Returns (done, sign, prev): the number of columns
-    pivoted (fewer than n when a column has no pivot), the sign of the row
-    permutation, and the leading done-minor of the rows in pivot order."""
+def _fraction_free(a: list[list]) -> tuple[int, int, object]:
+    """Bareiss's update on the rows `a`, in place, on their leading n x n
+    block.  Returns (done, sign, prev): the number of columns pivoted (fewer
+    than n when a column has no pivot), the sign of the row permutation, and
+    the leading done-minor of the rows in pivot order."""
     n = len(a)
     sign, prev = 1, 1
     for col in range(n):
@@ -146,10 +104,9 @@ def _fraction_free(a: list[list[int]], scale: list[int]) -> tuple[int, int, int]
             return col, sign, prev
         if piv != col:
             a[col], a[piv] = a[piv], a[col]
-            scale[col], scale[piv] = scale[piv], scale[col]
             sign = -sign
         # left of col each row is zero but for a pivot row's stale diagonal,
-        # which `_divide_out` replaces by 1: only columns col.. change
+        # which no caller reads: only columns col.. change
         w = a[col][col:]
         p = w[0]
         for r in range(n):
@@ -164,21 +121,11 @@ def _fraction_free(a: list[list[int]], scale: list[int]) -> tuple[int, int, int]
 def integer_inverse(a: list[list[int]]) -> tuple[list[list[int]], int]:
     """The inverse of a nonsingular n x n integer matrix as integer rows over
     one positive denominator, read from the fraction-free elimination of
-    [A | I] that `gauss_jordan` makes: its right block is prev * A^-1."""
+    [A | I]: its right block is prev * A^-1."""
     n = len(a)
     rows = [row + [int(r == j) for j in range(n)] for r, row in enumerate(a)]
-    done, _, prev = _fraction_free(rows, [1] * n)
+    done, _, prev = _fraction_free(rows)
     if done < n:
         raise SingularMatrix("the matrix is singular")
     s = 1 if prev > 0 else -1
     return [[s * v for v in row[n:]] for row in rows], s * prev
-
-
-def _divide_out(a: list[list[int]], done: int, prev: int,
-                scale: list[int]) -> list[list[Fraction]]:
-    """The field rule's rows from Bareiss's after `done` pivots: the identity
-    in the first `done` columns, the rest over prev and, for rows not yet
-    pivoted, over their scale too."""
-    return [[Fraction(int(r == j)) for j in range(done)]
-            + [Fraction(v, prev if r < done else prev * scale[r]) for v in row[done:]]
-            for r, row in enumerate(a)]

@@ -43,18 +43,15 @@ def K_coords(a: CycElt) -> tuple[Fraction, Fraction]:
     """Write an element of K as p + q*lambda (basis of o_K)."""
     if not a.in_K():
         raise ValueError("element is not in the subfield K")
-    # a = p + q*lambda determines q from the zeta-coefficients: lambda has
-    # coefficient pattern (0,1,1,0,1,0) in the power basis of Q(zeta_7).
-    q = a.coeffs[1]
-    p = a.coeffs[0]
-    if _K_elt(p, q) != a:
+    if _K_elt(a.num[0], a.num[1], a.den) != a:
         raise AssertionError("K coordinate extraction failed")
-    return p, q
+    return a.coeffs[0], a.coeffs[1]
 
 
-def _K_elt(p: Fraction, q: Fraction) -> CycElt:
-    """p + q*lambda, with lambda = zeta + zeta^2 + zeta^4."""
-    return CycElt(7, (p, q, q, 0, q, 0))
+def _K_elt(p: int, q: int, den: int = 1) -> CycElt:
+    """(p + q*lambda) / den for integers p, q and den > 0: lambda = zeta +
+    zeta^2 + zeta^4 has the pattern (0, 1, 1, 0, 1, 0) in the power basis."""
+    return CycElt._make(7, (p, q, q, 0, q, 0), den)
 
 
 def is_K_integral(a: CycElt) -> bool:
@@ -66,25 +63,49 @@ def lambda_valuation(a: CycElt) -> int:
     """Valuation of a nonzero element of K at the prime (lambda) above 2."""
     if a.is_zero():
         raise ValueError("valuation of zero")
-    p, q = K_coords(a)
-    scale = math.lcm(p.denominator, q.denominator)
-    x = a * Fraction(scale)
+    K_coords(a)  # raises unless a lies in K
+    # a = (p + q*lambda) / den.  Divide p + q*lambda by lambda while the
+    # quotient stays in o_K: x/lambda = x*lambda_bar/2 = (q - p/2) - (p/2)*lambda
+    p, q, den = a.num[0], a.num[1], a.den
     v = 0
-    lb = lam_bar()
-    while True:
-        # divide by lambda: x/lambda = x * lambda_bar / 2
-        cand = x * lb * Fraction(1, 2)
-        if is_K_integral(cand):
-            x = cand
-            v += 1
-        else:
-            break
-    # subtract the contribution of the integer scaling: v_lambda(n) = v_2(n)
-    v2 = 0
-    while scale % 2 == 0:
-        scale //= 2
-        v2 += 1
-    return v - v2
+    while p % 2 == 0:
+        p, q = q - p // 2, -(p // 2)
+        v += 1
+    return v - ((den & -den).bit_length() - 1)  # v_lambda(den) = v_2(den)
+
+
+class _OK:
+    """p + q*lambda in o_K = Z[lambda], lambda^2 = -lambda - 2: the entries
+    of the Gram matrix that `discriminant` eliminates."""
+
+    __slots__ = ("p", "q")
+
+    def __init__(self, p: int, q: int) -> None:
+        self.p, self.q = p, q
+
+    def __bool__(self) -> bool:
+        return bool(self.p or self.q)
+
+    def __neg__(self) -> "_OK":
+        return _OK(-self.p, -self.q)
+
+    def __sub__(self, y: "_OK") -> "_OK":
+        return _OK(self.p - y.p, self.q - y.q)
+
+    def __mul__(self, y: "_OK") -> "_OK":
+        a, b, c, d = self.p, self.q, y.p, y.q
+        return _OK(a * c - 2 * b * d, a * d + b * c - b * d)
+
+    def __floordiv__(self, y: "_OK | int") -> "_OK":
+        """The exact quotient x/y = x*conj(y)/N(y), with conj(c + d*lambda) =
+        (c - d) - d*lambda and N(y) = c^2 - c*d + 2*d^2.  An int y is the
+        1 that Bareiss's update divides by before its first pivot."""
+        a, b = self.p, self.q
+        if isinstance(y, int):
+            return _OK(a // y, b // y)
+        c, d = y.p, y.q
+        n = c * c - c * d + 2 * d * d
+        return _OK((a * (c - d) + 2 * b * d) // n, (b * c - a * d) // n)
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +170,7 @@ class OrderBasis(Frozen):
         # p_k + q_k*lambda over den*common, canonicalised by _make: so its den
         # is 1 exactly when p_k and q_k are integers, i.e. the coordinate is in o_K
         sol = [sum(map(operator.mul, row, rhs)) for row in rows]
-        return [CycElt._make(7, (p, q, q, 0, q, 0), den * common)
-                for p, q in zip(sol[0::2], sol[1::2])]
+        return [_K_elt(p, q, den * common) for p, q in zip(sol[0::2], sol[1::2])]
 
 
 def gram_matrix(basis: OrderBasis) -> list[list[CycElt]]:
@@ -187,8 +207,12 @@ def _factor_int(n: int) -> dict[int, int]:
 def discriminant(basis: OrderBasis | None = None) -> dict:
     """Determinant of the 9x9 reduced-trace Gram matrix, with factorization.
 
-    The determinant is computed exactly in K.  For the standard basis it is
-    a rational integer; the report factors it and compares against the
+    The determinant is computed exactly in K: row i of the Gram matrix is
+    cleared by the lcm s_i of its denominators into o_K = Z[lambda], the
+    cleared rows are eliminated fraction-free over o_K, and the result is
+    divided by the product of the s_i.  For the standard basis it is a
+    rational integer, and a rational determinant that is not an integer
+    raises `BasisNotIntegral`.  The report factors it and compares against the
     target ideal (2)^6.  The determinant picks up the cube of the relative
     discriminant of the degree-3 extension (the ideal above 7) from the
     three diagonal blocks, so the report separates that ramified part out
@@ -196,12 +220,19 @@ def discriminant(basis: OrderBasis | None = None) -> dict:
     whether the quotient by 7^3 generates (2)^6.
     """
     b = basis if basis is not None else OrderBasis.standard()
-    d, _ = m3.gauss_jordan(gram_matrix(b))
+    rows, scale = [], 1
+    for row in gram_matrix(b):
+        s = math.lcm(*(t.den for t in row))
+        rows.append([_OK(t.num[0] * (s // t.den), t.num[1] * (s // t.den)) for t in row])
+        scale *= s
+    det = m3.determinant(rows)
+    d = _K_elt(det.p, det.q, scale)
     result: dict = {"determinant": d}
     if d.is_rational():
         val = d.as_rational()
-        assert val.denominator == 1
-        n = abs(int(val))
+        if val.denominator != 1:
+            raise BasisNotIntegral(f"the Gram determinant {val} is not an integer")
+        n = abs(val.numerator)
         factors = _factor_int(n)
         result["abs_value"] = n
         result["factorization"] = factors

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
-from . import matrix3 as m3, validated
+from . import validated
 
 
 class NotPrimitive(ValueError):
@@ -35,17 +35,14 @@ class CyclicSingularity(NamedTuple):
 class HJChain(NamedTuple):
     self_intersections: tuple[int, ...]
 
-    def intersection_matrix(self) -> list[list[int]]:
-        r = len(self.self_intersections)
-        m = [[0] * r for _ in range(r)]
-        for i, b in enumerate(self.self_intersections):
-            m[i][i] = b
-            if i + 1 < r:
-                m[i][i + 1] = m[i + 1][i] = 1
-        return m
-
     def determinant(self) -> int:
-        return int(m3.gauss_jordan(self.intersection_matrix())[0])
+        """Determinant of the chain's intersection matrix, with the b_i on the
+        diagonal and 1 between neighbours: the continuant
+        d_i = b_i*d_{i-1} - d_{i-2}, d_0 = 1, d_{-1} = 0."""
+        prev, d = 0, 1
+        for b in self.self_intersections:
+            prev, d = d, b * d - prev
+        return d
 
 
 class OrbifoldSurface(NamedTuple):

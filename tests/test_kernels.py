@@ -1,11 +1,14 @@
-"""The integer kernels of the order arithmetic against the field paths they replace."""
+"""The integer kernels of the order arithmetic against the field paths they
+replace, and the one elimination over o_K against sympy."""
 
 import math
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from ballquot import cyclotomic
 from ballquot import lfunctions as lf
@@ -13,55 +16,57 @@ from ballquot import matrix3 as m3
 from ballquot import order_arithmetic as oa
 from ballquot.cyclic_algebra import AlgElt, b_element
 from ballquot.cyclotomic import CycElt, lam, lam_bar, zeta7
-from tests.test_properties import CASES, algebra_elements, fractions, reference_matrix
+from tests.test_properties import CASES, algebra_elements, reference_matrix
 
 ORDERS = (oa.OrderBasis.standard, oa.OrderBasis.iota_b_stable)
 
 
-def as_field(rows):
-    return [[CycElt.rational(7, v) for v in row] for row in rows]
-
-
-def field_gauss_jordan(a):
-    """`gauss_jordan` of the same entries as elements of Q(zeta_7), which
-    takes the field update rule."""
-    return m3.gauss_jordan(as_field(a))
+# o_K = Z[lambda] as sympy's Q(sqrt(-7)), lambda = (-1 + sqrt(-7))/2
+K = sympy.QQ.algebraic_field(sympy.sqrt(-7))
+LAMBDA = K.from_sympy((-1 + sympy.sqrt(-7)) / 2)
+small = st.integers(min_value=-3, max_value=3)
+o_K_entries = st.one_of(st.just((0, 0)), st.tuples(small, small))
 
 
 @st.composite
-def rational_systems(draw, singular=False):
-    """An n x m matrix of the suite's fractions, n <= 5 and n <= m <= 2n.  With
-    `singular`, column k < n is a combination of the columns before it (zero
-    when k = 0), so the elimination stops at or before column k while the
-    rows not yet pivoted may still hold nonzero entries right of it."""
+def o_K_matrices(draw, singular=False):
+    """An n x n matrix of pairs (p, q) for p + q*lambda, n <= 5.  With
+    `singular`, row k is minus an o_K-combination of the rows before it (zero
+    when k = 0), so the elimination stops at or before column k."""
     n = draw(st.integers(min_value=1, max_value=5))
-    m = draw(st.integers(min_value=n, max_value=2 * n))
-    a = [[draw(fractions) for _ in range(m)] for _ in range(n)]
+    a = [[draw(o_K_entries) for _ in range(n)] for _ in range(n)]
     if singular:
         k = draw(st.integers(min_value=0, max_value=n - 1))
-        weights = [draw(fractions) for _ in range(k)]
-        for row in a:
-            row[k] = sum((w * v for w, v in zip(weights, row)), Fraction(0))
+        row_k = [oa._OK(0, 0)] * n
+        for row in a[:k]:
+            w = oa._OK(*draw(o_K_entries))
+            row_k = [c - w * oa._OK(*v) for c, v in zip(row_k, row)]
+        a[k] = [(c.p, c.q) for c in row_k]
     return a
 
 
-@CASES
-@given(rational_systems())
-def test_integer_elimination_matches_the_field_rule(a):
-    det, reduced = m3.gauss_jordan(a)
-    field_det, field_reduced = field_gauss_jordan(a)
-    assert all(isinstance(v, Fraction) for row in reduced for v in row)
-    assert CycElt.rational(7, det) == field_det
-    assert as_field(reduced) == field_reduced
+def o_K_determinant(a):
+    """`matrix3.determinant` of the pairs (p, q) as p + q*lambda."""
+    return m3.determinant([[oa._OK(p, q) for p, q in row] for row in a])
+
+
+def in_sympy(p, q):
+    return K.convert(p) + K.convert(q) * LAMBDA
 
 
 @CASES
-@given(rational_systems(singular=True))
-def test_integer_elimination_of_a_singular_system_matches_the_field_rule(a):
-    det, reduced = m3.gauss_jordan(a)
-    field_det, field_reduced = field_gauss_jordan(a)
-    assert det == 0 and field_det.is_zero()
-    assert as_field(reduced) == field_reduced  # the same partial reduction
+@given(o_K_matrices())
+def test_the_elimination_over_o_K_matches_sympy(a):
+    d = o_K_determinant(a)
+    entries = [[in_sympy(p, q) for p, q in row] for row in a]
+    assert in_sympy(d.p, d.q) == DomainMatrix(entries, (len(a), len(a)), K).det()
+
+
+@CASES
+@given(o_K_matrices(singular=True))
+def test_the_elimination_over_o_K_of_a_dependent_system_gives_zero(a):
+    d = o_K_determinant(a)
+    assert (d.p, d.q) == (0, 0) and not d
 
 
 @CASES

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from ballquot.cyclic_algebra import AlgElt, b_element
 from ballquot.cyclotomic import CycElt, lam, lam_bar, zeta7
 from ballquot import order_arithmetic as oa
@@ -48,6 +50,23 @@ def test_discriminant_normalization_report():
     assert d["is_two_to_six"] is False
     assert d["ramified_part_exponent"] == 3
     assert d["two_to_six_after_ramified_part"] is True
+
+
+def _standard_with_e0_scaled_by(q: Fraction) -> oa.OrderBasis:
+    e = oa.OrderBasis.standard().elements
+    return oa.OrderBasis((e[0].scale(CycElt.rational(7, q)),) + e[1:])
+
+
+def test_a_half_basis_element_divides_the_discriminant_by_four():
+    d = oa.discriminant(_standard_with_e0_scaled_by(Fraction(1, 2)))
+    assert d["abs_value"] == 5488
+    assert d["factorization"] == {2: 4, 7: 3}
+
+
+def test_a_non_integral_gram_determinant_raises():
+    # the Gram determinant of this basis is 21952/9
+    with pytest.raises(oa.BasisNotIntegral, match="21952/9"):
+        oa.discriminant(_standard_with_e0_scaled_by(Fraction(1, 3)))
 
 
 def test_twisted_involution_does_not_preserve_the_order():

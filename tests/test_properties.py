@@ -13,7 +13,7 @@ from ballquot import matrix3 as m3
 from ballquot import order_arithmetic as oa
 from ballquot import singularities as sg
 from ballquot.cyclic_algebra import AlgElt, b_element
-from ballquot.cyclotomic import CycElt, alpha, lam
+from ballquot.cyclotomic import CycElt, alpha, lam, lam_bar
 from ballquot.hermitian import H_b, HermMatrix
 from ballquot.symreal import SymbolicReal
 
@@ -276,39 +276,45 @@ def test_symbolic_ring_laws(a, b, c, p, s):
 # ---------------------------------------------------------------------------
 # the one elimination, against the 3x3 closed forms and against sympy
 
-def augmented(a, zero, one):
-    """[A | I] as a list of rows."""
-    n = len(a)
-    return [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(a)]
-
-
-@CASES
-@given(st.lists(st.one_of(st.just(CycElt.zero(7)), field_elements()), min_size=9, max_size=9))
-def test_elimination_matches_the_3x3_closed_forms(entries):
-    a = m3.mat(entries[3 * i:3 * i + 3] for i in range(3))
-    det, reduced = m3.gauss_jordan(augmented(a, CycElt.zero(7), CycElt.one(7)))
-    assert det == m3.det(a)
-    if det:
-        assert m3.mat(row[3:] for row in reduced) == m3.inverse(a)
-
-
 small_entries = st.integers(min_value=-3, max_value=3)
 integer_matrices = st.integers(min_value=1, max_value=6).flatmap(
     lambda n: st.lists(st.lists(small_entries, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+def as_field(rows):
+    return m3.mat([CycElt.rational(7, v) for v in row] for row in rows)
+
+
+@CASES
+@given(st.lists(st.one_of(st.just((0, 0)), st.tuples(small_entries, small_entries)),
+                min_size=9, max_size=9))
+def test_elimination_matches_the_3x3_closed_forms(entries):
+    # entries p + q*lambda of o_K; their p parts make an integer matrix
+    rows = [entries[3 * i:3 * i + 3] for i in range(3)]
+    d = m3.determinant([[oa._OK(p, q) for p, q in row] for row in rows])
+    assert oa._K_elt(d.p, d.q) == m3.det(m3.mat([oa._K_elt(p, q) for p, q in row]
+                                                for row in rows))
+    a = [[p for p, _ in row] for row in rows]
+    if m3.det(as_field(a)):
+        inv, den = m3.integer_inverse(a)
+        assert as_field(inv) == m3.mat([v * den for v in row] for row in m3.inverse(as_field(a)))
+    else:
+        with pytest.raises(m3.SingularMatrix):
+            m3.integer_inverse(a)
 
 
 @CASES
 @given(integer_matrices)
 def test_elimination_matches_sympy_on_integer_matrices(a):
     n = len(a)
-    det, reduced = m3.gauss_jordan(augmented(a, 0, 1))
-    assert det == int(sympy.Matrix(a).det())
+    det = m3.determinant(a)
+    assert type(det) is int and det == int(sympy.Matrix(a).det())
     if det:
-        inv = [row[n:] for row in reduced]
-        assert all(isinstance(v, Fraction) for row in inv for v in row)  # never a float
+        inv, den = m3.integer_inverse(a)
+        assert den > 0
         product = [[sum(a[i][k] * inv[k][j] for k in range(n)) for j in range(n)]
                    for i in range(n)]
-        assert product == [[int(i == j) for j in range(n)] for i in range(n)]
+        assert product == [[den * int(i == j) for j in range(n)] for i in range(n)]
 
 
 @CASES
@@ -316,8 +322,9 @@ def test_elimination_matches_sympy_on_integer_matrices(a):
 def test_elimination_of_a_singular_matrix_gives_determinant_zero(a, weights):
     # the last row becomes a combination of the others (zero when n = 1)
     a[-1] = [sum(w * row[j] for w, row in zip(weights, a[:-1])) for j in range(len(a))]
-    det, _ = m3.gauss_jordan(a)
-    assert det == 0
+    assert m3.determinant(a) == 0
+    with pytest.raises(m3.SingularMatrix):
+        m3.integer_inverse(a)
 
 
 def test_a_dependent_basis_has_no_coordinates():
@@ -326,6 +333,27 @@ def test_a_dependent_basis_has_no_coordinates():
     basis = oa.OrderBasis(e[:8] + (e[0].scale(lam()),))
     with pytest.raises(m3.SingularMatrix):
         basis.coordinates(e[0])
+
+
+def test_a_dependent_basis_has_discriminant_zero():
+    e = oa.OrderBasis.standard().elements
+    d = oa.discriminant(oa.OrderBasis(e[:8] + (e[0].scale(lam()),)))
+    assert d["determinant"].is_zero()
+    assert (d["abs_value"], d["factorization"]) == (0, {})
+
+
+@CASES
+@given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6),
+       st.integers(min_value=-4, max_value=4),
+       st.integers(min_value=-40, max_value=40).map(lambda k: 2 * k + 1),
+       st.integers(min_value=0, max_value=40).map(lambda k: 2 * k + 1))
+def test_lambda_valuation_counts_lambda_and_two_but_not_lambda_bar(a, b, c, u, w):
+    # 2 = lambda * lambda_bar, and odd integers are units at lambda
+    x = CycElt.rational(7, Fraction(u, w) * Fraction(2) ** c)
+    for factor, times in ((lam(), a), (lam_bar(), b)):
+        for _ in range(times):
+            x = x * factor
+    assert oa.lambda_valuation(x) == a + c
 
 
 # ---------------------------------------------------------------------------

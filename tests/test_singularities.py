@@ -16,6 +16,11 @@ def test_chain_determinant_recovers_the_order():
     for n, q in ((7, 3), (3, 2), (7, 1), (5, 2), (11, 4)):
         ch = sg.hj_expand(sg.CyclicSingularity(n, q))
         assert abs(ch.determinant()) == n
+    for n in range(2, 61):
+        for q in range(1, n):
+            if math.gcd(n, q) == 1:
+                ch = sg.hj_expand(sg.CyclicSingularity(n, q))
+                assert ch.determinant() == (-1) ** len(ch.self_intersections) * n, (n, q)
 
 
 def test_non_primitive_type_rejected():
