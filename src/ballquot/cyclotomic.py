@@ -266,11 +266,6 @@ class CycElt:
     def __truediv__(self, other: "CycElt") -> "CycElt":
         return self * other.inverse()
 
-    def __rtruediv__(self, other: int | Fraction) -> "CycElt":
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        return self.inverse() * other
-
     def is_zero(self) -> bool:
         return not any(self.num)
 

@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 from . import matrix3 as m3, validated
 from .cyclotomic import CycElt, zeta7
-from .cyclic_algebra import AlgElt, NotIotaInvariant
+from .cyclic_algebra import AlgElt, NotIotaInvariant, b_element
 
 
 class NotHermitian(ValueError):
@@ -77,8 +77,6 @@ def _sign_changes(signs: list[int]) -> int:
 
 def H_b() -> HermMatrix:
     """The hermitian form induced by b = tr(lambda) + lambda_bar u + lambda_bar u^2."""
-    from .cyclic_algebra import b_element
-
     return HermMatrix.from_alg_elt(b_element())
 
 

@@ -36,6 +36,10 @@ class BasisNotIntegral(ValueError):
     pass
 
 
+class BasisShapeError(ValueError):
+    """Raised when an `OrderBasis` is built from anything but a tuple of 9 `AlgElt`s."""
+
+
 # ---------------------------------------------------------------------------
 # K = Q(sqrt(-7)) coordinate helpers.  o_K = Z[lambda], lambda = (-1+sqrt(-7))/2.
 
@@ -114,6 +118,12 @@ class OrderBasis(Frozen):
     """An o_K-basis (9 elements) of an order in D."""
 
     _fields = ("elements",)  # tuple[AlgElt, ...]; no __slots__, for cached_property
+
+    def __init__(self, elements: tuple[AlgElt, ...]) -> None:
+        if not (isinstance(elements, tuple) and len(elements) == 9
+                and all(isinstance(e, AlgElt) for e in elements)):
+            raise BasisShapeError(f"an order basis is a tuple of 9 AlgElts, got {elements!r:.80}")
+        super().__init__(elements)
 
     @staticmethod
     def standard() -> "OrderBasis":

@@ -1,12 +1,13 @@
-"""Exact real numbers of the form sum q * pi^a * sqrt(7)^b, and rational
-enclosures of them.
+"""Exact real numbers of the form q * pi^a * 7^(b/2), and rational enclosures
+of them.
 
 Every quantity in the volume pipeline (zeta values, L-values, discriminant
-powers) lives in the ring Q[pi, pi^-1, sqrt(7), sqrt(7)^-1].  Keeping these
-symbolic lets the final covolume assert exact cancellation of all pi powers
-instead of comparing floats.  `SymbolicReal.interval` encloses a value
-between two `Fraction`s, from `pi_interval` and an integer square root;
-`CycElt.interval` returns the same `Interval` type.
+powers, local factors) is one such monomial, and so is every product of
+them.  Keeping them symbolic lets the final covolume assert exact
+cancellation of all pi powers instead of comparing floats.
+`SymbolicReal.interval` encloses a value between two `Fraction`s, from
+`pi_interval` and an integer square root; `CycElt.interval` returns the same
+`Interval` type.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import isqrt
-from typing import Iterator, Mapping, NamedTuple
+from typing import NamedTuple
 
 from . import Frozen
 
@@ -48,89 +49,43 @@ def pi_interval(bits: int) -> Interval:
     return Interval(Fraction(mid - err, 1 << w), Fraction(mid + err, 1 << w))
 
 
-def _normalize(terms: Mapping[tuple[int, int], Fraction]) -> dict[tuple[int, int], Fraction]:
-    out: dict[tuple[int, int], Fraction] = {}
-    for (pi_pow, seven_half), coeff in terms.items():
-        if coeff == 0:
-            continue
-        # Fold even powers of sqrt(7) into the rational coefficient so the
-        # radical exponent is canonically 0 or 1.
-        whole, rad = divmod(seven_half, 2)
-        key = (pi_pow, rad)
-        c = coeff * Fraction(7) ** whole
-        new = out.get(key, Fraction(0)) + c
-        if new:
-            out[key] = new
-        else:
-            out.pop(key, None)
-    return out
-
-
 class SymbolicReal(Frozen):
-    """Finite sum of terms q * pi^a * 7^(b/2), immutable and canonically reduced."""
+    """The monomial coeff * pi^pi_power * 7^(root/2), with root 0 or 1: even
+    powers of sqrt(7) fold into the coefficient, and zero is (0, 0, 0)."""
 
-    __slots__ = _fields = ("_terms",)  # tuple[tuple[int, int, Fraction], ...]
-
-    @staticmethod
-    def from_terms(terms: Mapping[tuple[int, int], Fraction]) -> "SymbolicReal":
-        norm = _normalize(terms)
-        return SymbolicReal(tuple(sorted((p, s, c) for (p, s), c in norm.items())))
+    __slots__ = _fields = ("coeff", "pi_power", "root")  # Fraction, int, int
 
     @staticmethod
     def rational(q: Fraction | int) -> "SymbolicReal":
-        return SymbolicReal.from_terms({(0, 0): Fraction(q)})
+        return SymbolicReal.term(q)
 
     @staticmethod
     def term(coeff: Fraction | int, pi_power: int = 0, seven_half_power: int = 0) -> "SymbolicReal":
-        return SymbolicReal.from_terms({(pi_power, seven_half_power): Fraction(coeff)})
-
-    def terms(self) -> Iterator[tuple[int, int, Fraction]]:
-        return iter(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other: "SymbolicReal") -> "SymbolicReal":
-        acc: dict[tuple[int, int], Fraction] = {(p, s): c for p, s, c in self._terms}
-        for p, s, c in other._terms:
-            acc[(p, s)] = acc.get((p, s), Fraction(0)) + c
-        return SymbolicReal.from_terms(acc)
-
-    def __neg__(self) -> "SymbolicReal":
-        return SymbolicReal(tuple((p, s, -c) for p, s, c in self._terms))
-
-    def __sub__(self, other: "SymbolicReal") -> "SymbolicReal":
-        return self + (-other)
+        coeff = Fraction(coeff)
+        if not coeff:
+            return SymbolicReal(coeff, 0, 0)
+        whole, root = divmod(seven_half_power, 2)
+        return SymbolicReal(coeff * Fraction(7) ** whole, pi_power, root)
 
     def __mul__(self, other: "SymbolicReal") -> "SymbolicReal":
-        acc: dict[tuple[int, int], Fraction] = {}
-        for p1, s1, c1 in self._terms:
-            for p2, s2, c2 in other._terms:
-                key = (p1 + p2, s1 + s2)
-                acc[key] = acc.get(key, Fraction(0)) + c1 * c2
-        return SymbolicReal.from_terms(acc)
+        return SymbolicReal.term(self.coeff * other.coeff, self.pi_power + other.pi_power,
+                                 self.root + other.root)
 
     def as_rational(self) -> Fraction:
         """Exact rational value; raises NotRational on any pi or sqrt(7) residue."""
-        if not self._terms:
-            return Fraction(0)
-        if len(self._terms) == 1:
-            p, s, c = self._terms[0]
-            if p == 0 and s == 0:
-                return c
-        raise NotRational(f"not a rational value: {self}")
+        if self.pi_power or self.root:
+            raise NotRational(f"not a rational value: {self}")
+        return self.coeff
 
     def interval(self) -> Interval:
         """An exact enclosure of the value, from `pi_interval(64)` and
         sqrt(7) between isqrt(7 * 4^64) / 2^64 and one unit more."""
-        pi, r = pi_interval(64), isqrt(7 << 128)
-        lo = hi = Fraction(0)
-        for p, s, c in self._terms:
-            x, y = sorted((pi.a ** p, pi.b ** p))  # pi^p is monotone in pi > 0
-            if s:
-                x, y = x * Fraction(r, 1 << 64), y * Fraction(r + 1, 1 << 64)
-            lo, hi = lo + min(c * x, c * y), hi + max(c * x, c * y)
-        return Interval(lo, hi)
+        pi, c = pi_interval(64), self.coeff
+        x, y = sorted((pi.a ** self.pi_power, pi.b ** self.pi_power))  # monotone in pi > 0
+        if self.root:
+            r = isqrt(7 << 128)
+            x, y = x * Fraction(r, 1 << 64), y * Fraction(r + 1, 1 << 64)
+        return Interval(min(c * x, c * y), max(c * x, c * y))
 
     def to_float(self) -> float:
         """The float nearest the midpoint of `interval()`."""
@@ -138,20 +93,14 @@ class SymbolicReal(Frozen):
         return float((box.a + box.b) / 2)
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for p, s, c in self._terms:
-            factors = [str(c)]
-            if p:
-                factors.append(f"pi^{p}" if p != 1 else "pi")
-            if s:
-                factors.append("7^(1/2)")
-            parts.append(" * ".join(factors))
-        return " + ".join(parts)
+        factors = [str(self.coeff)]
+        if self.pi_power:
+            factors.append("pi" if self.pi_power == 1 else f"pi^{self.pi_power}")
+        if self.root:
+            factors.append("7^(1/2)")
+        return " * ".join(factors)
 
 
-ZERO = SymbolicReal.from_terms({})
 ONE = SymbolicReal.rational(1)
 PI = SymbolicReal.term(1, pi_power=1)
 SQRT7 = SymbolicReal.term(1, seven_half_power=1)

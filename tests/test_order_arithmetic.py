@@ -69,6 +69,21 @@ def test_a_non_integral_gram_determinant_raises():
         oa.discriminant(_standard_with_e0_scaled_by(Fraction(1, 3)))
 
 
+BAD_BASES = {
+    "three elements, discriminant": lambda e: oa.discriminant(oa.OrderBasis(e[:3])),
+    "no elements": lambda e: oa.OrderBasis(()),
+    "nine integers": lambda e: oa.OrderBasis(tuple(range(9))),
+    "ten elements, coordinates": lambda e: oa.OrderBasis(e + e[:1]).coordinates(e[0]),
+}
+
+
+@pytest.mark.parametrize("use", BAD_BASES.values(), ids=BAD_BASES)
+def test_an_order_basis_is_exactly_nine_algebra_elements(use):
+    assert issubclass(oa.BasisShapeError, ValueError)
+    with pytest.raises(oa.BasisShapeError, match="tuple of 9 AlgElts"):
+        use(oa.OrderBasis.standard().elements)
+
+
 def test_twisted_involution_does_not_preserve_the_order():
     standard = oa.OrderBasis.standard()
     assert oa.is_iota_b_invariant(standard) is False

@@ -15,7 +15,7 @@ from ballquot import singularities as sg
 from ballquot.cyclic_algebra import AlgElt, b_element
 from ballquot.cyclotomic import CycElt, alpha, lam, lam_bar
 from ballquot.hermitian import H_b, HermMatrix
-from ballquot.symreal import SymbolicReal
+from ballquot.symreal import ONE, SymbolicReal
 
 CASES = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -257,20 +257,23 @@ def test_symbolic_power_cancellation(a, b, p, s):
     x = SymbolicReal.term(a, p, s)
     y = SymbolicReal.term(b, -p, -s)
     assert (x * y).as_rational() == a * b
-    assert (x - x).is_zero()
+    assert x * y == SymbolicReal.rational(a * b)
 
 
 @CASES
 @given(fractions, fractions, fractions,
-       st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=2))
+       st.integers(min_value=-3, max_value=3), st.integers(min_value=-2, max_value=2))
 def test_symbolic_ring_laws(a, b, c, p, s):
+    """The laws the monomials keep: the product is commutative and
+    associative, with ONE its identity and zero absorbing."""
     x = SymbolicReal.term(a, p, s)
     y = SymbolicReal.term(b, 1, 1)
-    z = SymbolicReal.rational(c)
-    assert x + y == y + x
-    assert x * y == y * x
-    assert x * (y + z) == x * y + x * z
-    assert (x + y) + z == x + (y + z)
+    z = SymbolicReal.term(c, -p, s + 1)
+    zero = SymbolicReal.rational(0)
+    assert x * y == y * x and hash(x * y) == hash(y * x)
+    assert (x * y) * z == x * (y * z)
+    assert ONE * x == x == x * ONE
+    assert zero * x == x * zero == zero
 
 
 # ---------------------------------------------------------------------------

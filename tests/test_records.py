@@ -22,7 +22,7 @@ ONE7 = CycElt.one(7)
 
 RECORDS = {
     "Interval": (lambda: Interval(Fraction(1), Fraction(2)), "a"),
-    "SymbolicReal": (lambda: PI * SQRT7, "_terms"),
+    "SymbolicReal": (lambda: PI * SQRT7, "coeff"),
     "AlgElt": (ca.b_element, "x0"),
     "FixedPointClass": (lambda: dim.build_gamma_dataset().classes[0], "r"),
     "ClassDataset": (dim.build_gamma_dataset, "label"),
@@ -93,7 +93,8 @@ def test_records_show_their_fields():
     assert repr(sg.CyclicSingularity(7, 3)) == "CyclicSingularity(n=7, q=3)"
     assert repr(Interval(Fraction(1), Fraction(2))) == \
         "Interval(a=Fraction(1, 1), b=Fraction(2, 1))"
-    assert repr(SymbolicReal.rational(3)) == "SymbolicReal(_terms=((0, 0, Fraction(3, 1)),))"
+    assert repr(SymbolicReal.rational(3)) == \
+        "SymbolicReal(coeff=Fraction(3, 1), pi_power=0, root=0)"
     assert repr(ca.AlgElt.zero()).startswith("AlgElt(x0=CycElt(modulus=7, ")
 
 

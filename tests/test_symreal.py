@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from ballquot.symreal import ONE, PI, SQRT7, ZERO, NotRational, SymbolicReal
+from ballquot.symreal import ONE, PI, SQRT7, NotRational, SymbolicReal
 
 
 def test_rational_roundtrip():
@@ -20,17 +20,19 @@ def test_even_radical_power_folds_into_coefficient():
 def test_negative_half_power_normalizes():
     # 7^(-1/2) = (1/7) * 7^(1/2)
     x = SymbolicReal.term(1, 0, -1)
-    assert list(x.terms()) == [(0, 1, Fraction(1, 7))]
+    assert (x.coeff, x.pi_power, x.root) == (Fraction(1, 7), 0, 1)
 
 
 def test_pi_powers_add_under_multiplication():
     assert (PI * PI * SQRT7 * SQRT7) == SymbolicReal.term(7, 2, 0)
 
 
-def test_addition_cancels_to_zero():
-    x = SymbolicReal.term(Fraction(5, 3), 2, 1)
-    assert (x - x) == ZERO
-    assert (x + (-x)).is_zero()
+def test_zero_is_one_record():
+    zero = SymbolicReal.term(0, 3, 1)
+    assert zero == SymbolicReal.rational(0) and hash(zero) == hash(SymbolicReal.rational(0))
+    assert (zero.coeff, zero.pi_power, zero.root) == (0, 0, 0)
+    assert str(zero) == "0" and zero.as_rational() == 0
+    assert PI * zero == zero * SQRT7 == zero
 
 
 def test_as_rational_rejects_residual_pi():
@@ -38,8 +40,11 @@ def test_as_rational_rejects_residual_pi():
         PI.as_rational()
     with pytest.raises(NotRational):
         SQRT7.as_rational()
-    with pytest.raises(NotRational):
-        (ONE + PI).as_rational()
+    with pytest.raises(NotRational, match=r"pi\^-2"):
+        (SymbolicReal.term(3, -1, 2) * SQRT7 * SQRT7 * SymbolicReal.term(1, -1)).as_rational()
+    with pytest.raises(NotRational, match=r"7\^\(1/2\)"):
+        (SymbolicReal.term(2, -1, 3) * PI).as_rational()
+    assert (SymbolicReal.term(2, -1, 3) * PI * SQRT7).as_rational() == 98
 
 
 def test_float_evaluation():
@@ -51,4 +56,5 @@ def test_float_evaluation():
 
 def test_str_rendering():
     assert str(SymbolicReal.term(Fraction(32, 2401), 3, 1)) == "32/2401 * pi^3 * 7^(1/2)"
-    assert str(ZERO) == "0"
+    assert str(PI) == "1 * pi" and str(ONE) == "1"
+    assert str(SymbolicReal.rational(0)) == "0"
