@@ -15,16 +15,16 @@ and the reduced trace trd(xy) of the Gram matrix), `product_x0` gives it
 from the three of the nine component products that reach it:
 (xy)_0 = x0 y0 + alpha (x1 sigma^-1(y2) + x2 sigma^-2(y1)).
 
-The product, `product_x0` and `iota` share one integer kernel.  It lifts each
-component to the group ring Z[C_7] = Z[x]/(x^7 - 1), which maps onto Z[zeta]:
-its power-basis numerators, with coefficient 0 at x^6, over the operand's
-common denominator.  Every Galois map the three need (sigma^-i: zeta ->
-zeta^(4^i), conj: zeta -> zeta^6, and zeta -> zeta^3, zeta^5 for iota) is
-the index map a -> k*a mod 7 of Z[C_7], applied inside the convolution.
-u^3 = alpha enters as alpha's integer vector over its denominator 2, and
-conj(alpha) likewise, both read once from `alpha()`.  Each output component
-goes back to the power basis through 1 + zeta + ... + zeta^6 = 0 and is
-canonicalised once.
+The product, `product_x0` and `iota` share the one integer kernel of the
+field layer, `cyclotomic.convolve` over the group ring Z[C_7] =
+Z[x]/(x^7 - 1), which maps onto Z[zeta].  Each component enters as its
+power-basis numerators over the operand's common denominator.  Every Galois
+map the three need (sigma^-i: zeta -> zeta^(4^i), conj: zeta -> zeta^6, and
+zeta -> zeta^3, zeta^5 for iota) is the kernel's index map b -> k*b mod 7,
+applied inside the convolution.  u^3 = alpha enters as alpha's integer
+vector over its denominator 2, and conj(alpha) likewise, both read once from
+`alpha()`.  Each output component goes back to the power basis through
+`CycElt.from_group_ring`, canonicalised once.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from functools import cache, lru_cache
 from math import lcm
 
 from . import Frozen, matrix3 as m3
-from .cyclotomic import CycElt, alpha, lam, lam_bar
+from .cyclotomic import CycElt, alpha, convolve, index_map, lam, lam_bar
 
 
 class NotInvertible(ValueError):
@@ -70,15 +70,21 @@ class AlgElt(Frozen):
         return AlgElt.from_L(CycElt.one(7))
 
     def __add__(self, o: "AlgElt") -> "AlgElt":
+        if not isinstance(o, AlgElt):
+            return NotImplemented
         return AlgElt(self.x0 + o.x0, self.x1 + o.x1, self.x2 + o.x2)
 
     def __neg__(self) -> "AlgElt":
         return AlgElt(-self.x0, -self.x1, -self.x2)
 
     def __sub__(self, o: "AlgElt") -> "AlgElt":
+        if not isinstance(o, AlgElt):
+            return NotImplemented
         return self + (-o)
 
     def __mul__(self, o: "AlgElt") -> "AlgElt":
+        if not isinstance(o, AlgElt):
+            return NotImplemented
         return AlgElt(*_product(self, o, (0, 1, 2)))
 
     def product_x0(self, o: "AlgElt") -> CycElt:
@@ -142,9 +148,10 @@ class AlgElt(Frozen):
         where sigma^2 o conj is zeta -> zeta^3 and sigma o conj is zeta -> zeta^5.
         """
         _, conj_twist = _twists()
-        return AlgElt(_component([(_ONE, self.x0.num, 6)], (), None, self.x0.den),
-                      _component((), [(_ONE, self.x2.num, 3)], conj_twist, self.x2.den),
-                      _component((), [(_ONE, self.x1.num, 5)], conj_twist, self.x1.den))
+        conj, conj3, conj5 = index_map(7, 6), index_map(7, 3), index_map(7, 5)
+        return AlgElt(_component([(_ONE, self.x0.num, conj)], (), None, self.x0.den),
+                      _component((), [(_ONE, self.x2.num, conj3)], conj_twist, self.x2.den),
+                      _component((), [(_ONE, self.x1.num, conj5)], conj_twist, self.x1.den))
 
     def iota_b(self, b: "AlgElt") -> "AlgElt":
         """Twisted involution x -> b * iota(x) * b^{-1}; b must be iota-invariant."""
@@ -155,14 +162,10 @@ class AlgElt(Frozen):
 
 
 # ---------------------------------------------------------------------------
-# the integer kernel: components of L as integer vectors of Z[C_7] = Z[x]/(x^7 - 1)
+# components of L as integer vectors of Z[C_7] = Z[x]/(x^7 - 1)
 
-# _TARGETS[k][a][b] = (a + k*b) mod 7: x^a times the image of x^b under
-# zeta -> zeta^k is x^(a + k*b)
-_TARGETS = tuple(tuple(tuple((a + k * b) % 7 for b in range(7)) for a in range(7))
-                 for k in range(7))
-_SIGMA_INV = (1, 4, 2)  # sigma^-i is zeta -> zeta^(4^i)
-_ONE = (1,)  # the unit of Z[C_7]: a term (_ONE, q, k) is the Galois image of q alone
+_SIGMA_INV = tuple(index_map(7, 4 ** i % 7) for i in range(3))  # sigma^-i: zeta -> zeta^(4^i)
+_ONE = (1,)  # the unit of Z[C_7]: a term (_ONE, q, sigma) is the Galois image of q alone
 
 
 @cache
@@ -173,31 +176,22 @@ def _twists() -> tuple[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]]
     return (a.num, a.den), (b.num, b.den)
 
 
-def _mul_into(acc: list[int], p, q, k: int) -> None:
-    """acc += p * (q under zeta -> zeta^k), all in Z[C_7]."""
-    for pa, targets in zip(p, _TARGETS[k]):
-        if pa:
-            for t, qb in zip(targets, q):
-                acc[t] += pa * qb
-
-
 def _component(plain, twisted, twist, den: int) -> CycElt:
-    """(sum of p * q^(k) over `plain` + twist * the same sum over `twisted`) / den,
-    an element of L from terms (p, q, k) of integer vectors; the twist is
-    (numerators, denominator), or None when nothing is twisted."""
+    """(sum of p * sigma(q) over `plain` + twist * the same sum over `twisted`) / den,
+    an element of L from terms (p, q, sigma) of integer vectors and index maps; the
+    twist is (numerators, denominator), or None when nothing is twisted."""
     acc = [0] * 7
-    for p, q, k in plain:
-        _mul_into(acc, p, q, k)
+    for p, q, sigma in plain:
+        convolve(acc, p, q, sigma)
     if twisted:
         high = [0] * 7
-        for p, q, k in twisted:
-            _mul_into(high, p, q, k)
+        for p, q, sigma in twisted:
+            convolve(high, p, q, sigma)
         num, twist_den = twist
         acc = [twist_den * v for v in acc]
-        _mul_into(acc, num, high, 1)
+        convolve(acc, num, high, _SIGMA_INV[0])  # sigma^0 is the identity
         den *= twist_den
-    top = acc[6]  # zeta^6 = -(1 + zeta + ... + zeta^5)
-    return CycElt._make(7, [v - top for v in acc[:6]], den)
+    return CycElt.from_group_ring(7, acc, den)
 
 
 def _product(x: AlgElt, y: AlgElt, components) -> list[CycElt]:

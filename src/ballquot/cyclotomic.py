@@ -11,10 +11,15 @@ Z[zeta_N], so every element has exactly one such form, and `==` and `hash`
 compare the integers directly.  `coeffs` is a cached view of the same
 element as a tuple of `Fraction`s.
 
-Products are integer schoolbook products reduced through a table of
-x^k mod Phi_N; Galois maps apply a table of zeta^(i*k) mod Phi_N; inverses
-are the product of the other Galois conjugates over the rational norm.  The
-tables are built on first use, once per modulus (and exponent).  The sign of
+One integer kernel does the arithmetic.  `convolve` adds p * sigma_k(q) to
+a vector of the group ring Z[C_N] = Z[x]/(x^N - 1), which maps onto
+Z[zeta_N]; sigma_k, the Galois map zeta -> zeta^k, is the index map
+x^b -> x^(k*b mod N), read from the table `index_map(N, k)` built on first
+use.  `CycElt.from_group_ring` takes such a vector to the power basis
+through a table of x^j mod Phi_N and canonicalises it.  A product is one kernel call
+with k = 1, a Galois map one call with p = 1, and the cyclic algebra over
+Q(zeta_7) builds its components with the same kernel.  Inverses are the
+product of the other Galois conjugates over the rational norm.  The sign of
 a real element is exact: `interval` encloses its value between two
 `Fraction`s, from cosine series in scaled integers and `symreal.pi_interval`.
 
@@ -28,7 +33,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from math import gcd, lcm
 
-from .symreal import Interval, pi_interval
+from .symreal import Interval, exact, pi_interval
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -60,32 +65,44 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
+    """The order of (Z/n)^x, the degree of Q(zeta_n); n must be at least 1."""
+    if n < 1:
+        raise ValueError(f"no cyclotomic field Q(zeta_{n}): the modulus must be at least 1")
     return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
 
 
 @lru_cache(maxsize=None)
-def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """Row k (0 <= k < n) holds the integer coordinates of x^k mod Phi_n.
-
-    x^n = 1 modulo Phi_n, so x^k for any k >= 0 is row k mod n."""
+def _fold_table(n: int) -> tuple[int, tuple[tuple[int, tuple[tuple[int, int], ...]], ...]]:
+    """(d, rows) with d = phi(n): the rows (j, terms) for d <= j < n list the
+    nonzero (i, c) of x^j mod Phi_n = sum c x^i."""
+    d = euler_phi(n)
     phi = cyclotomic_polynomial(n)
-    d = len(phi) - 1
-    row = [1] + [0] * (d - 1)
+    row = [-c for c in phi[:d]]  # x^d = -(phi_0 + ... + phi_(d-1) x^(d-1))
     rows = []
-    for _ in range(n):
-        rows.append(tuple(row))
+    for j in range(d, n):
+        rows.append((j, tuple((i, c) for i, c in enumerate(row) if c)))
         top = row[-1]
         row = [0] + row[:-1]
-        if top:  # x^d = -(phi_0 + ... + phi_(d-1) x^(d-1))
+        if top:
             row = [r - top * c for r, c in zip(row, phi)]
-    return tuple(rows)
+    return d, tuple(rows)
 
 
 @lru_cache(maxsize=None)
-def _galois_table(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """Row i holds the integer coordinates of zeta^(i*k) mod Phi_n."""
-    powers = _power_table(n)
-    return tuple(powers[(i * k) % n] for i in range(euler_phi(n)))
+def index_map(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The Galois map sigma_k: zeta -> zeta^k as an index map of the group ring
+    Z[C_n] = Z[x]/(x^n - 1): row a holds (a + k*b) mod n for b < n, the
+    exponent of x^a * sigma_k(x^b)."""
+    return tuple(tuple((a + k * b) % n for b in range(n)) for a in range(n))
+
+
+def convolve(acc: list[int], p, q, sigma) -> None:
+    """acc += p * sigma(q) in Z[C_n], for sigma = index_map(n, k).  p and q
+    are integer vectors of at most n entries, acc a list of n."""
+    for pa, targets in zip(p, sigma):
+        if pa:
+            for t, qb in zip(targets, q):
+                acc[t] += pa * qb
 
 
 @lru_cache(maxsize=None)
@@ -109,35 +126,11 @@ def _norm_tower(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(steps)
 
 
-def _exact(c) -> Fraction:
-    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
-        raise TypeError(f"cyclotomic coefficients must be int or Fraction, not {type(c).__name__}")
-    return Fraction(c)
-
-
 def _over_common_denominator(coeffs) -> tuple[list[int], int]:
     """Integer numerators over the least positive common denominator."""
-    coeffs = [_exact(c) for c in coeffs]
+    coeffs = [exact(c) for c in coeffs]
     den = lcm(1, *(c.denominator for c in coeffs))
     return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
-def _reduce(n: int, num: list[int]) -> tuple[int, ...]:
-    """Integer coordinates of sum num[k] x^k modulo Phi_n."""
-    d = euler_phi(n)
-    if len(num) <= d:
-        return tuple(num) + (0,) * (d - len(num))
-    out = [0] * n
-    for k, c in enumerate(num):
-        out[k % n] += c
-    powers = _power_table(n)
-    for k in range(d, n):
-        c = out[k]
-        if c:
-            for i, t in enumerate(powers[k]):
-                if t:
-                    out[i] += c * t
-    return tuple(out[:d])
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +158,7 @@ class CycElt:
         num = tuple(num)
         g = gcd(den, *num)
         if g != 1:
-            num = tuple(a // g for a in num)
+            num = tuple([a // g for a in num])
             den //= g
         setter = object.__setattr__
         setter(self, "modulus", n)
@@ -204,9 +197,26 @@ class CycElt:
 
     @staticmethod
     def from_poly(n: int, poly) -> "CycElt":
-        """The value of a polynomial (int or Fraction coefficients) at zeta_n."""
+        """The value of a polynomial (int or Fraction coefficients) at zeta_n:
+        x^k folds onto x^(k mod n) of Z[C_n]."""
         num, den = _over_common_denominator(poly)
-        return CycElt._make(n, _reduce(n, num), den)
+        return CycElt.from_group_ring(n, [sum(num[j::n]) for j in range(n)], den)
+
+    @staticmethod
+    def from_group_ring(n: int, acc, den: int = 1) -> "CycElt":
+        """The image (acc[0] + acc[1]*zeta + ... + acc[n-1]*zeta^(n-1)) / den
+        of a list of n integers of Z[C_n] over den > 0, canonical: each zeta^j
+        with j >= phi(n) is read from the table of x^j mod Phi_n."""
+        d, rows = _fold_table(n)
+        if len(acc) != n:
+            raise ValueError(f"Z[C_{n}] needs {n} integers, got {len(acc)}")
+        out = acc[:d]
+        for j, terms in rows:
+            c = acc[j]
+            if c:
+                for i, t in terms:
+                    out[i] += c * t
+        return CycElt._make(n, out, den)
 
     @staticmethod
     def zero(n: int) -> "CycElt":
@@ -218,12 +228,12 @@ class CycElt:
 
     @staticmethod
     def rational(n: int, q: Fraction | int) -> "CycElt":
-        q = _exact(q)
+        q = exact(q)
         return CycElt._make(n, (q.numerator,) + (0,) * (euler_phi(n) - 1), q.denominator)
 
     @staticmethod
     def zeta(n: int, power: int = 1) -> "CycElt":
-        return CycElt._make(n, _power_table(n)[power % n])
+        return CycElt.from_group_ring(n, [int(j == power % n) for j in range(n)])
 
     # -- ring/field structure
 
@@ -232,6 +242,8 @@ class CycElt:
             raise ValueError("mixed cyclotomic moduli")
 
     def __add__(self, other: "CycElt") -> "CycElt":
+        if not isinstance(other, CycElt):
+            return NotImplemented
         self._check(other)
         da, db = self.den, other.den
         if da == db:
@@ -245,13 +257,19 @@ class CycElt:
         return CycElt._make(self.modulus, (-a for a in self.num), self.den)
 
     def __sub__(self, other: "CycElt") -> "CycElt":
+        if not isinstance(other, CycElt):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other) -> "CycElt":
-        if isinstance(other, (int, Fraction)):
+        """The product with an element of the same field, or with an int or
+        Fraction scalar (not a bool)."""
+        if isinstance(other, CycElt):
+            self._check(other)
+            return _mul(self, other)
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return _scale(self, Fraction(other))
-        self._check(other)
-        return _mul(self, other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -264,6 +282,8 @@ class CycElt:
         return _scale(cofactor, 1 / norm)
 
     def __truediv__(self, other: "CycElt") -> "CycElt":
+        if not isinstance(other, CycElt):
+            return NotImplemented
         return self * other.inverse()
 
     def is_zero(self) -> bool:
@@ -362,15 +382,14 @@ class CycElt:
 # ---------------------------------------------------------------------------
 # the arithmetic kernels, on canonical elements of one modulus
 
+_UNIT = (1,)  # x^0 of Z[C_n]: convolve(acc, _UNIT, q, sigma) adds sigma(q) alone
+
+
 def _mul(a: CycElt, b: CycElt) -> CycElt:
     n = a.modulus
-    bn = b.num
-    prod = [0] * (2 * len(bn) - 1)
-    for i, ai in enumerate(a.num):
-        if ai:
-            for j, bj in enumerate(bn, i):
-                prod[j] += ai * bj
-    return CycElt._make(n, _reduce(n, prod), a.den * b.den)
+    acc = [0] * n
+    convolve(acc, a.num, b.num, index_map(n, 1))
+    return CycElt.from_group_ring(n, acc, a.den * b.den)
 
 
 def _scale(a: CycElt, q: Fraction) -> CycElt:
@@ -378,13 +397,10 @@ def _scale(a: CycElt, q: Fraction) -> CycElt:
 
 
 def _galois(a: CycElt, k: int) -> CycElt:
-    out = [0] * len(a.num)
-    for c, row in zip(a.num, _galois_table(a.modulus, k)):
-        if c:
-            for i, t in enumerate(row):
-                if t:
-                    out[i] += c * t
-    return CycElt._make(a.modulus, out, a.den)
+    n = a.modulus
+    acc = [0] * n
+    convolve(acc, _UNIT, a.num, index_map(n, k))
+    return CycElt.from_group_ring(n, acc, a.den)
 
 
 def _norm_and_cofactor(a: CycElt) -> tuple[Fraction, CycElt]:

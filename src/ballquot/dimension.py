@@ -17,7 +17,7 @@ from functools import cache
 from typing import NamedTuple
 
 from . import read_data, validated
-from .cyclotomic import CycElt, _reduce
+from .cyclotomic import CycElt
 
 
 class EigenvalueOne(ValueError):
@@ -101,7 +101,7 @@ def dimension(dataset: ClassDataset, k: int) -> int:
         scale = wn * (den // wd)
         for i, a in enumerate(coeff.num, c.j * k):
             acc[i % n] += scale * a
-    total = CycElt._make(n, _reduce(n, acc), den)
+    total = CycElt.from_group_ring(n, acc, den)
     if total != total.conjugate():
         raise NotAnInteger(f"class sum {total} is not real")
     if not total.is_rational():

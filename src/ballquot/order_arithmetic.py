@@ -54,8 +54,8 @@ def K_coords(a: CycElt) -> tuple[Fraction, Fraction]:
 
 def _K_elt(p: int, q: int, den: int = 1) -> CycElt:
     """(p + q*lambda) / den for integers p, q and den > 0: lambda = zeta +
-    zeta^2 + zeta^4 has the pattern (0, 1, 1, 0, 1, 0) in the power basis."""
-    return CycElt._make(7, (p, q, q, 0, q, 0), den)
+    zeta^2 + zeta^4, so p + q*lambda is the vector (p, q, q, 0, q, 0, 0) of Z[C_7]."""
+    return CycElt.from_group_ring(7, [p, q, q, 0, q, 0, 0], den)
 
 
 def is_K_integral(a: CycElt) -> bool:
@@ -177,7 +177,7 @@ class OrderBasis(Frozen):
         rows, den = self._coordinate_solver
         (x0, x1, x2), common = x.numerators()
         rhs = x0 + x1 + x2
-        # p_k + q_k*lambda over den*common, canonicalised by _make: so its den
+        # p_k + q_k*lambda over den*common, canonicalised by from_group_ring: so its den
         # is 1 exactly when p_k and q_k are integers, i.e. the coordinate is in o_K
         sol = [sum(map(operator.mul, row, rhs)) for row in rows]
         return [_K_elt(p, q, den * common) for p, q in zip(sol[0::2], sol[1::2])]

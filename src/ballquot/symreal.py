@@ -24,6 +24,14 @@ class NotRational(ValueError):
     """Raised when a SymbolicReal is forced to a rational but carries pi or sqrt(7)."""
 
 
+def exact(c) -> Fraction:
+    """c as a Fraction, refusing anything but an int or a Fraction (a bool or
+    a float included), so no input switches the arithmetic to floats."""
+    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+        raise TypeError(f"exact values must be int or Fraction, not {type(c).__name__}")
+    return Fraction(c)
+
+
 class Interval(NamedTuple):
     """The closed interval [a, b] with rational ends."""
 
@@ -51,9 +59,16 @@ def pi_interval(bits: int) -> Interval:
 
 class SymbolicReal(Frozen):
     """The monomial coeff * pi^pi_power * 7^(root/2), with root 0 or 1: even
-    powers of sqrt(7) fold into the coefficient, and zero is (0, 0, 0)."""
+    powers of sqrt(7) fold into the coefficient, and zero is (0, 0, 0).  The
+    constructor refuses any other record, so equal values are equal records."""
 
     __slots__ = _fields = ("coeff", "pi_power", "root")  # Fraction, int, int
+
+    def __init__(self, coeff: Fraction, pi_power: int, root: int) -> None:
+        if not (type(coeff) is Fraction and type(pi_power) is type(root) is int
+                and root in (0, 1) and (coeff or not (pi_power or root))):
+            raise ValueError(f"not a canonical monomial: {coeff!r}, {pi_power!r}, {root!r}")
+        super().__init__(coeff, pi_power, root)
 
     @staticmethod
     def rational(q: Fraction | int) -> "SymbolicReal":
@@ -61,13 +76,15 @@ class SymbolicReal(Frozen):
 
     @staticmethod
     def term(coeff: Fraction | int, pi_power: int = 0, seven_half_power: int = 0) -> "SymbolicReal":
-        coeff = Fraction(coeff)
+        coeff = exact(coeff)
         if not coeff:
             return SymbolicReal(coeff, 0, 0)
         whole, root = divmod(seven_half_power, 2)
         return SymbolicReal(coeff * Fraction(7) ** whole, pi_power, root)
 
     def __mul__(self, other: "SymbolicReal") -> "SymbolicReal":
+        if not isinstance(other, SymbolicReal):
+            return NotImplemented
         return SymbolicReal.term(self.coeff * other.coeff, self.pi_power + other.pi_power,
                                  self.root + other.root)
 

@@ -4,6 +4,7 @@ import pytest
 
 from ballquot.cyclotomic import (CycElt, alpha, cyclotomic_polynomial,
                                  euler_phi, lam, lam_bar, zeta7)
+from tests.test_properties import ref_reduce
 
 
 def test_cyclotomic_polynomial():
@@ -129,3 +130,26 @@ def test_elements_are_immutable():
         x.den = 2
     with pytest.raises(AttributeError):
         del x.num
+
+
+# ---------------------------------------------------------------------------
+# the group-ring builder, and moduli below 1
+
+def test_from_group_ring_reads_n_integers_of_the_group_ring():
+    assert CycElt.from_group_ring(7, [1] * 7) == CycElt.zero(7)  # Phi_7 itself
+    assert CycElt.from_group_ring(7, [0] * 6 + [2], 4) == CycElt.zeta(7, 6) * Fraction(1, 2)
+    poly = [3, -1, 0, 2, 5, -4, 1, 0, 0, 7, -2, 1, 6, 0, -3, 2, 1, 1, -5, 0, 4]
+    assert CycElt.from_group_ring(21, poly, 6).coeffs == tuple(c / 6 for c in ref_reduce(21, poly))
+    for short_or_long in ([0] * 6, [0] * 8):
+        with pytest.raises(ValueError):
+            CycElt.from_group_ring(7, short_or_long)
+
+
+@pytest.mark.parametrize("n", [0, -5])
+def test_a_modulus_below_one_is_a_value_error(n):
+    builders = [lambda: CycElt(n, ()), lambda: CycElt.zero(n), lambda: CycElt.one(n),
+                lambda: CycElt.zeta(n), lambda: CycElt.from_poly(n, [1, 2]),
+                lambda: CycElt.from_group_ring(n, []), lambda: euler_phi(n)]
+    for build in builders:
+        with pytest.raises(ValueError, match="at least 1"):
+            build()

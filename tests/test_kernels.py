@@ -1,8 +1,10 @@
 """The integer kernels of the order arithmetic against the field paths they
 replace, and the one elimination over o_K against sympy."""
 
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -116,6 +118,26 @@ def test_the_algebra_kernel_makes_no_field_product_or_galois_map(monkeypatch):
     monkeypatch.setattr(cyclotomic, "_mul", refuse)
     monkeypatch.setattr(cyclotomic, "_galois", refuse)
     assert (x * y, x.product_x0(y), x.iota()) == expected
+
+
+def test_no_module_but_cyclotomic_knows_the_layout_of_a_field_element():
+    """Outside `cyclotomic`, no module calls `._make`, imports an underscored
+    name from `cyclotomic`, or reads one as `cyclotomic._name`."""
+    seen = []
+    for path in sorted(Path(cyclotomic.__file__).parent.glob("*.py")):
+        if path.name == "cyclotomic.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and (
+                    node.attr == "_make" or (node.attr.startswith("_")
+                                             and isinstance(node.value, ast.Name)
+                                             and node.value.id == "cyclotomic")):
+                seen.append(f"{path.name}:{node.lineno} .{node.attr}")
+            elif (isinstance(node, ast.ImportFrom)
+                  and (node.module or "").rpartition(".")[2] == "cyclotomic"):
+                seen += [f"{path.name}:{node.lineno} {a.name}" for a in node.names
+                         if a.name.startswith("_")]
+    assert seen == []
 
 
 def test_gram_matrix_is_the_reduced_trace_of_every_product():

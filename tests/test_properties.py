@@ -95,7 +95,7 @@ def test_reduced_norm_is_multiplicative(x, y):
 # the integer field kernels against the definition they replace: Fraction
 # polynomials reduced by long division by Phi_n
 
-PHI = {3: (1, 1, 1), 21: (1, -1, 0, 1, -1, 0, 1, 0, -1, 1, 0, -1, 1)}
+PHI = {3: (1, 1, 1), 7: (1, 1, 1, 1, 1, 1, 1), 21: (1, -1, 0, 1, -1, 0, 1, 0, -1, 1, 0, -1, 1)}
 
 
 def ref_reduce(n, poly):

@@ -15,7 +15,7 @@ from ballquot import lfunctions as lf
 from ballquot import order_arithmetic as oa
 from ballquot import report as rpt
 from ballquot import singularities as sg
-from ballquot.cyclotomic import CycElt
+from ballquot.cyclotomic import CycElt, zeta7
 from ballquot.symreal import PI, SQRT7, Interval, SymbolicReal
 
 ONE7 = CycElt.one(7)
@@ -87,6 +87,33 @@ def test_records_with_arithmetic_are_not_tuples(x):
         except (TypeError, AttributeError):
             continue
         assert not isinstance(value, tuple)
+
+
+FOREIGN = ["PI * 2", "2 * PI", "PI * ONE7", "zeta7() + 1", "1 + zeta7()", "zeta7() - 1",
+           "zeta7() / 2", "zeta7() * True", "True * zeta7()", "zeta7() * 0.5",
+           "AlgElt.one() * 2", "AlgElt.one() + ONE7", "AlgElt.one() - 1", "AlgElt.one() * ONE7"]
+
+
+@pytest.mark.parametrize("expr", FOREIGN)
+def test_an_operand_of_another_type_is_a_type_error(expr):
+    with pytest.raises(TypeError):
+        eval(expr, {"PI": PI, "ONE7": ONE7, "zeta7": zeta7, "AlgElt": ca.AlgElt})
+
+
+class Reflected:
+    """An operand of another type that answers every reflected operator."""
+
+    def _reflected(self, other):
+        return "reflected"
+
+    __radd__ = __rsub__ = __rmul__ = __rtruediv__ = _reflected
+
+
+@pytest.mark.parametrize("expr", ["PI * R", "ONE7 + R", "ONE7 - R", "ONE7 * R", "ONE7 / R",
+                                  "AlgElt.one() + R", "AlgElt.one() - R", "AlgElt.one() * R"])
+def test_an_operand_of_another_type_gets_its_reflected_operator(expr):
+    names = {"PI": PI, "ONE7": ONE7, "AlgElt": ca.AlgElt, "R": Reflected()}
+    assert eval(expr, names) == "reflected"
 
 
 def test_records_show_their_fields():

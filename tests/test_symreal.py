@@ -58,3 +58,32 @@ def test_str_rendering():
     assert str(SymbolicReal.term(Fraction(32, 2401), 3, 1)) == "32/2401 * pi^3 * 7^(1/2)"
     assert str(PI) == "1 * pi" and str(ONE) == "1"
     assert str(SymbolicReal.rational(0)) == "0"
+
+
+# ---------------------------------------------------------------------------
+# only canonical, exact records
+
+@pytest.mark.parametrize("record", [
+    (Fraction(1), 0, 2),         # 7 is the record (7, 0, 0)
+    (Fraction(1), 0, -1),
+    (Fraction(0), 1, 0),         # zero is the one record (0, 0, 0)
+    (Fraction(0), 0, 1),
+    (1.5, 0, 0), (1, 0, 0),      # the coefficient is a Fraction
+    (Fraction(1), True, 0), (Fraction(1), 0, True), (Fraction(1), 1.0, 0)])
+def test_the_constructor_refuses_a_record_term_would_not_build(record):
+    with pytest.raises(ValueError):
+        SymbolicReal(*record)
+
+
+def test_the_constructor_accepts_what_term_builds():
+    for x in (ONE, PI, SQRT7, SymbolicReal.term(Fraction(-3, 5), -2, 5), SymbolicReal.rational(0)):
+        assert SymbolicReal(x.coeff, x.pi_power, x.root) == x
+    assert SymbolicReal(Fraction(7), 0, 0) == SymbolicReal.rational(7)
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.5, True, "1"])
+def test_term_refuses_anything_but_an_int_or_a_fraction(bad):
+    with pytest.raises(TypeError):
+        SymbolicReal.term(bad)
+    with pytest.raises(TypeError):
+        SymbolicReal.rational(bad)
