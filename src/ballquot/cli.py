@@ -53,7 +53,10 @@ def _cmd_resolve(args) -> int:
 
 def _read_object(path: str) -> dict:
     with open(path) as f:
-        data = json.load(f)
+        try:
+            data = json.load(f)
+        except RecursionError as e:
+            raise rpt.ConfigError(f"{path} is nested too deeply to read") from e
     if not isinstance(data, dict):
         raise rpt.ConfigError(f"{path} must hold a JSON object")
     return data

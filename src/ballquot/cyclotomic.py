@@ -46,7 +46,9 @@ class DivisionByZero(ZeroDivisionError):
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n, lowest degree first: x^n - 1 divided by Phi_d
-    for every proper divisor d of n."""
+    for every proper divisor d of n; n must be at least 1."""
+    if n < 1:
+        raise ValueError(f"no cyclotomic polynomial Phi_{n}: the modulus must be at least 1")
     p = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:

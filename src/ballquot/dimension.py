@@ -6,6 +6,10 @@ j^k, divided by the class order and r+1, times a power-series coefficient
 R(r, k).  Order-7 and order-3 rotation data mix exactly in Q(zeta_21).
 Roots of unity are kept as exponents of zeta_21: j^k is one lookup, and
 R(0, k), the same at every k, is computed once per pair of eigenvalues.
+No field inverse is taken: for w = zeta_n^e of order m,
+(1 - w) * sum_{t<m} t w^t = -m gives 1/(1 - w) in closed form, so R(0, k)
+is one product of two such elements.  The sum is tested for rationality
+first; only a sum that is not rational is conjugated, to word the error.
 """
 
 from __future__ import annotations
@@ -67,18 +71,30 @@ class ClassDataset(NamedTuple):
         return ClassDataset(self.label, n, out)
 
 
+def _inverse_of_one_minus(n: int, e: int) -> CycElt:
+    """1/(1 - w) for w = zeta_n^e of order m = n/gcd(e, n) > 1: from
+    (1 - w) * sum_{t<m} t w^t = -m, the vector -t at e*t mod n over m."""
+    m = n // math.gcd(e, n)
+    if m == 1:
+        raise EigenvalueOne("normal eigenvalue 1 makes R undefined")
+    acc = [0] * n
+    for t in range(1, m):
+        acc[e * t % n] = -t
+    return CycElt.from_group_ring(n, acc, m)
+
+
 @cache
 def _isolated_coefficient(n: int, a: int, b: int) -> CycElt:
-    """1/((1 - zeta_n^a)(1 - zeta_n^b)); at most n^2 entries per modulus."""
-    one = CycElt.one(n)
-    return ((one - CycElt.zeta(n, a)) * (one - CycElt.zeta(n, b))).inverse()
+    """1/((1 - zeta_n^a)(1 - zeta_n^b)), one field product of two closed
+    forms; at most n^2 entries per modulus."""
+    return _inverse_of_one_minus(n, a) * _inverse_of_one_minus(n, b)
 
 
 def R_coefficient(r: int, k: int, n: int, normal_eigenvalues: tuple[int, ...] = ()) -> CycElt:
     """Coefficient of z^r in (1-z)^{3k-1} * prod 1/(1 - nu_i + nu_i z), nu_i =
     zeta_n^e_i; for r = 0 it is prod 1/(1 - nu_i), the same at every k."""
     if r == 2:
-        return CycElt.rational(n, Fraction(math.comb(3 * k - 1, 2)))
+        return CycElt.rational(n, math.comb(3 * k - 1, 2))
     return _isolated_coefficient(n, *normal_eigenvalues)
 
 
@@ -102,10 +118,9 @@ def dimension(dataset: ClassDataset, k: int) -> int:
         for i, a in enumerate(coeff.num, c.j * k):
             acc[i % n] += scale * a
     total = CycElt.from_group_ring(n, acc, den)
-    if total != total.conjugate():
-        raise NotAnInteger(f"class sum {total} is not real")
-    if not total.is_rational():
-        raise NotAnInteger(f"class sum {total} is not rational")
+    if not total.is_rational():  # a rational sum is real: conjugate only to word the error
+        kind = "real" if total != total.conjugate() else "rational"
+        raise NotAnInteger(f"class sum {total} is not {kind}")
     val = total.as_rational()
     if val.denominator != 1 or val < 0:
         raise NotAnInteger(f"class sum {val} is not a nonnegative integer")

@@ -340,8 +340,7 @@ def torsion_orders() -> TorsionReport:
             excluded[2] = "nrd(-1) = -1, so -1 is not a norm-1 unitary element"
         elif m % 7 != 0:
             # Q(zeta_m) must contain K: conductor divisibility
-            if euler_phi(m) in (3, 6):
-                excluded[m] = f"Q(sqrt(-7)) is not contained in Q(zeta_{m})"
+            excluded[m] = f"Q(sqrt(-7)) is not contained in Q(zeta_{m})"
         elif m % 2 == 0:
             excluded[m] = "contains -1, whose reduced norm is -1"
         else:

@@ -7,8 +7,8 @@ rule: `match` when computed == expected (`derived-only` for an id in
 is the value `DEVIATIONS` pins for the id, one of README's "Known deviations"
 whose note gives the evidence; otherwise `mismatch`, which forces a nonzero
 exit.  One entry, `l_value_closed_form`, passes `agrees=` instead of
-computed == expected: its closed form must lie within the tail bound of the
-direct Dirichlet series printed as its expected value.
+computed == expected: its closed form must lie within the tail and rounding
+bound of the direct Dirichlet series printed as its expected value.
 """
 
 from __future__ import annotations
@@ -60,6 +60,8 @@ def load_config(path: str | None = None) -> dict:
         raise ConfigError(f"cannot read config: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
+    except RecursionError as e:
+        raise ConfigError("config is nested too deeply to read") from e
     _check_keys("config", cfg, DEFAULT_CONFIG)
     _check_keys("indices", cfg["indices"], DEFAULT_CONFIG["indices"])
     return cfg
@@ -188,8 +190,12 @@ def run_all(config_path: str | None = None) -> VerificationReport:
     r.add("bernoulli_b3_chi7", "generalized Bernoulli number for the quadratic character mod 7",
           "48/7", _frac(b3))
     lval = lf.dirichlet_L_value(3, chi7)
-    series, tail = lf.l_series_oracle(3, chi7, 20000)
-    box, center, radius = lval.interval(), Fraction(series), Fraction(tail)
+    terms = 20000
+    series, tail = lf.l_series_oracle(3, chi7, terms)
+    # the tail is below 1/(2 terms^2); each term is one correctly rounded division and
+    # fsum rounds once, so rounding adds under (sum |term| + |series|) 2^-53 < 4 * 2^-53
+    radius = Fraction(1, 2 * terms ** 2) + Fraction(1, 2 ** 51)
+    box, center = lval.interval(), Fraction(series)
     agrees = center - radius <= box.a and box.b <= center + radius
     r.add("l_value_closed_form", "special L-value at 3 for the character mod 7",
           f"series {series:.12f} +- {tail:.1e}", str(lval),

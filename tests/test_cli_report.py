@@ -276,6 +276,15 @@ def test_heights_and_classify_need_a_json_object(tmp_path, capsys, command):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["report", "--config"], ["heights"], ["classify"]])
+def test_a_file_nested_too_deeply_is_a_config_error(tmp_path, capsys, argv):
+    f = tmp_path / "deep.json"
+    f.write_text("[" * 100000 + "]" * 100000)
+    assert main(argv + [str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "config error" in captured.err and "nested" in captured.err
+
+
 def test_classify_reads_a_resolution_with_rational_strings(tmp_path, capsys):
     c = tmp_path / "surf.json"
     c.write_text(json.dumps({"c2": "12", "signature": "-8", "q": 0, "minimal": True,
@@ -333,6 +342,28 @@ OFF_DEVIATION = {
                            "adjugate_of_b_in_order": True}),
     "l_value_printed_constant": (_l_value_doubled, "64/2401 * pi^3 * 7^(1/2)"),
 }
+
+
+def _closed_form_entry(monkeypatch, shift):
+    # the series the report checks the closed form against, moved by `shift`,
+    # with a zero tail: the radius is the report's own exact bound
+    from ballquot import lfunctions as lf
+    real = lf.l_series_oracle
+    monkeypatch.setattr(lf, "l_series_oracle",
+                        lambda *a: (real(*a)[0] + shift, 0.0))
+    r = rpt.run_all()
+    return next(e for e in r.entries if e["id"] == "l_value_closed_form"), r.exit_code()
+
+
+def test_the_closed_form_radius_does_not_read_the_oracle_tail(monkeypatch):
+    entry, code = _closed_form_entry(monkeypatch, 0.0)
+    assert (entry["status"], code) == ("match", 0)
+
+
+def test_a_series_off_by_twice_the_radius_is_a_mismatch(monkeypatch):
+    radius = 1 / (2 * 20000 ** 2) + 2.0 ** -51
+    entry, code = _closed_form_entry(monkeypatch, 2 * radius)
+    assert (entry["status"], code) == ("mismatch", 1)
 
 
 @pytest.mark.parametrize("entry_id", sorted(OFF_DEVIATION))

@@ -153,3 +153,9 @@ def test_a_modulus_below_one_is_a_value_error(n):
     for build in builders:
         with pytest.raises(ValueError, match="at least 1"):
             build()
+
+
+@pytest.mark.parametrize("n", [0, -5])
+def test_cyclotomic_polynomial_refuses_a_modulus_below_one(n):
+    with pytest.raises(ValueError, match="at least 1"):
+        cyclotomic_polynomial(n)

@@ -105,3 +105,45 @@ def test_class_sum_takes_a_bounded_number_of_products(monkeypatch):
 
     monkeypatch.setattr(CycElt, "__mul__", counted)
     assert dim.dimension(g, 10**6) >= 0
+
+
+@pytest.mark.parametrize("n", [7, 21])
+def test_isolated_coefficient_inverts_both_factors(n):
+    one = CycElt.one(n)
+    for a in range(1, n):
+        for b in range(1, n):
+            factors = (one - CycElt.zeta(n, a)) * (one - CycElt.zeta(n, b))
+            assert dim._isolated_coefficient(n, a, b) * factors == one
+
+
+def test_isolated_coefficient_refuses_an_eigenvalue_one():
+    # 1 - zeta^0 = 0 has no inverse; the closed form would otherwise give 0
+    for eigenvalues in ((0, 3), (6, 21)):
+        with pytest.raises(dim.EigenvalueOne):
+            dim.R_coefficient(0, 2, 21, eigenvalues)
+
+
+def test_dimension_takes_no_field_inverse_and_no_galois_map(monkeypatch):
+    from ballquot import cyclotomic
+
+    def refuse(*args):
+        raise AssertionError("the class sum needs no inverse and no Galois map")
+
+    dim._isolated_coefficient.cache_clear()
+    monkeypatch.setattr(CycElt, "inverse", refuse)
+    monkeypatch.setattr(cyclotomic, "_galois", refuse)
+    expected = {"gamma": [1, 4, 7, 13], "gamma_tilde": [1, 2, 3, 5]}
+    for build in (dim.build_gamma_dataset, dim.build_gamma_tilde_dataset):
+        ds = build()
+        for s in (s for s in range(1, 21) if math.gcd(s, 21) == 1):
+            assert [dim.dimension(ds.conjugated(s), k) for k in range(2, 6)] == expected[ds.label]
+
+
+def test_a_class_sum_off_the_rationals_says_whether_it_is_real():
+    g = dim.build_gamma_dataset()
+    with pytest.raises(dim.NotAnInteger, match="is not real$"):
+        dim.dimension(dim.ClassDataset(g.label, 21, g.classes[:5]), 3)
+    real_pair = (dim.FixedPointClass(0, Fraction(1), 3, 7, (6, 18)),
+                 dim.FixedPointClass(0, Fraction(1), 18, 7, (15, 3)))
+    with pytest.raises(dim.NotAnInteger, match="is not rational$"):
+        dim.dimension(dim.ClassDataset(g.label, 21, real_pair), 3)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from ballquot.cyclic_algebra import AlgElt, b_element
-from ballquot.cyclotomic import CycElt, lam, lam_bar, zeta7
+from ballquot.cyclotomic import CycElt, euler_phi, lam, lam_bar, zeta7
 from ballquot import order_arithmetic as oa
 
 
@@ -206,6 +206,15 @@ def test_torsion_orders():
     assert rep.allowed_orders == frozenset({1, 7})
     assert 2 in rep.excluded
     assert 14 in rep.excluded
+
+
+def test_every_torsion_candidate_is_allowed_or_excluded_with_a_reason():
+    rep = oa.torsion_orders()
+    candidates = {m for m in range(2, 43) if euler_phi(m) in (1, 2, 3, 6)}
+    assert not rep.allowed_orders & set(rep.excluded)
+    assert rep.allowed_orders | set(rep.excluded) == candidates | {1}
+    for m in (3, 4, 6):
+        assert rep.excluded[m] == f"Q(sqrt(-7)) is not contained in Q(zeta_{m})"
 
 
 def test_torsion_free_check():
