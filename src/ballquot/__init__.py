@@ -11,6 +11,21 @@ def read_data(name: str) -> str:
         return f.read()
 
 
+def factor_int(n: int) -> dict[int, int]:
+    """Prime factorization of |n| by trial division up to sqrt(|n|)."""
+    factors: dict[int, int] = {}
+    n = abs(n)
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:  # no factor up to its square root: a prime
+        factors[n] = 1
+    return factors
+
+
 def validated(cls):
     """Make constructing the NamedTuple `cls`, or a subclass, call `__post_init__`."""
     make = cls.__new__

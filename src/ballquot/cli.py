@@ -2,6 +2,10 @@
 
 Exit codes: 0 on success, 1 when a verification entry mismatches, 2 on bad
 configuration or usage.
+
+Only the input layer `config` is imported up front; each command imports the
+modules it runs when it is dispatched, so `resolve` or `--help` loads no
+algebra layer.
 """
 
 from __future__ import annotations
@@ -10,27 +14,26 @@ import argparse
 import json
 import sys
 
-from . import report as rpt
-from . import lfunctions as lf
-from . import singularities as sg
-from . import dimension as dim
-from . import classifier as cl
+from .config import ConfigError, decimal_key, exact_integer, exact_rational, load_config
 
 MAX_WEIGHT = 401
 MAX_TERMS = 10**7
 MAX_CHAIN = 10**6
+GROUPS = ("gamma", "gamma_tilde")  # `dims` builds group g with dimension.build_<g>_dataset
 
 
 def _cmd_volume(args) -> int:
+    from . import lfunctions as lf
     chi = lf.DirichletCharacter.kronecker(-7)
-    print(rpt.covolume(rpt.load_config(args.config), lf.riemann_zeta(2),
-                       lf.dirichlet_L_value(3, chi)))
+    print(lf.covolume_from_config(load_config(args.config), lf.riemann_zeta(2),
+                                  lf.dirichlet_L_value(3, chi)))
     return 0
 
 
 def _cmd_lvalue(args) -> int:
     if args.weight > MAX_WEIGHT or args.terms > MAX_TERMS:
-        raise rpt.ConfigError(f"need --weight <= {MAX_WEIGHT} and --terms <= {MAX_TERMS}")
+        raise ConfigError(f"need --weight <= {MAX_WEIGHT} and --terms <= {MAX_TERMS}")
+    from . import lfunctions as lf
     chi = lf.DirichletCharacter.kronecker(-7)
     val = lf.dirichlet_L_value(args.weight, chi)
     lines = [str(val)]
@@ -43,10 +46,11 @@ def _cmd_lvalue(args) -> int:
 
 
 def _cmd_resolve(args) -> int:
+    from . import singularities as sg
     point = sg.CyclicSingularity(args.n, args.q)
     # one blow-up per chain entry, counted without building the chain
     if sg.resolve_invariants(sg.OrbifoldSurface(0, 0, (point,)))[2] > MAX_CHAIN:
-        raise rpt.ConfigError(f"the chain of ({args.n},{args.q}) is longer than {MAX_CHAIN}")
+        raise ConfigError(f"the chain of ({args.n},{args.q}) is longer than {MAX_CHAIN}")
     print("".join(f"({b})" for b in sg.hj_expand(point).self_intersections))
     return 0
 
@@ -56,21 +60,22 @@ def _read_object(path: str) -> dict:
         try:
             data = json.load(f)
         except RecursionError as e:
-            raise rpt.ConfigError(f"{path} is nested too deeply to read") from e
+            raise ConfigError(f"{path} is nested too deeply to read") from e
     if not isinstance(data, dict):
-        raise rpt.ConfigError(f"{path} must hold a JSON object")
+        raise ConfigError(f"{path} must hold a JSON object")
     return data
 
 
 def _cmd_heights(args) -> int:
+    from . import singularities as sg
     data = _read_object(args.file)
     raw = data["points"]
     if not isinstance(raw, list) or not all(isinstance(p, list) and len(p) == 2 for p in raw):
-        raise rpt.ConfigError("points must be a list of [n, q] pairs")
-    pts = tuple(sg.CyclicSingularity(rpt.exact_integer(n, "point order n"),
-                                     rpt.exact_integer(q, "point weight q")) for n, q in raw)
-    x = sg.OrbifoldSurface(rpt.exact_rational(data["euler"], "euler"),
-                           rpt.exact_rational(data["signature"], "signature"), pts)
+        raise ConfigError("points must be a list of [n, q] pairs")
+    pts = tuple(sg.CyclicSingularity(exact_integer(n, "point order n"),
+                                     exact_integer(q, "point weight q")) for n, q in raw)
+    x = sg.OrbifoldSurface(exact_rational(data["euler"], "euler"),
+                           exact_rational(data["signature"], "signature"), pts)
     print(f"euler_height     {sg.euler_height(x)}")
     print(f"signature_height {sg.signature_height(x)}")
     e, s, blow = sg.resolve_invariants(x)
@@ -79,30 +84,30 @@ def _cmd_heights(args) -> int:
 
 
 def _cmd_dims(args) -> int:
-    builders = {"gamma": dim.build_gamma_dataset,
-                "gamma_tilde": dim.build_gamma_tilde_dataset}
-    if args.group not in builders:
-        raise rpt.ConfigError(f"unknown group '{args.group}' "
-                              f"(choose from {sorted(builders)})")
-    print(dim.dimension(builders[args.group](), args.weight))
+    if args.group not in GROUPS:
+        raise ConfigError(f"unknown group '{args.group}' (choose from {list(GROUPS)})")
+    from . import dimension as dim
+    build = getattr(dim, f"build_{args.group}_dataset")
+    print(dim.dimension(build(), args.weight))
     return 0
 
 
 def _cmd_classify(args) -> int:
+    from . import classifier as cl
     data = _read_object(args.file)
     raw = data.get("plurigenera", {})
     if not isinstance(raw, dict):
-        raise rpt.ConfigError("plurigenera must be a JSON object")
-    plur = {rpt.decimal_key(k, "plurigenus index"): rpt.exact_integer(v, f"plurigenus P_{k}")
+        raise ConfigError("plurigenera must be a JSON object")
+    plur = {decimal_key(k, "plurigenus index"): exact_integer(v, f"plurigenus P_{k}")
             for k, v in raw.items()}
     minimal = data.get("minimal", True)
     if not isinstance(minimal, bool):
-        raise rpt.ConfigError(f"minimal must be true or false, got {minimal!r}")
-    c2 = rpt.exact_rational(data["c2"], "c2")
-    q = rpt.exact_rational(data.get("q", 0), "q")
+        raise ConfigError(f"minimal must be true or false, got {minimal!r}")
+    c2 = exact_rational(data["c2"], "c2")
+    q = exact_rational(data.get("q", 0), "q")
     if "signature" in data:
         s = cl.invariants_from_resolution(
-            c2, rpt.exact_rational(data["signature"], "signature"), q, plur, minimal=minimal)
+            c2, exact_rational(data["signature"], "signature"), q, plur, minimal=minimal)
     else:
         s = cl.ball_quotient_invariants(c2, q, plur)
     kod, trace = cl.kodaira_classify(s)
@@ -116,6 +121,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from . import report as rpt
     r = rpt.run_all(args.config)
     if args.format == "md":
         print(r.to_markdown())
@@ -179,7 +185,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except rpt.ConfigError as e:
+    except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:

@@ -221,6 +221,13 @@ class CycElt:
         return CycElt._make(n, out, den)
 
     @staticmethod
+    def from_K(p: int, q: int, den: int = 1) -> "CycElt":
+        """(p + q*lambda) / den in Q(zeta_7) for integers p, q and den > 0:
+        lambda = zeta + zeta^2 + zeta^4 has no zeta^6 term, so the power-basis
+        numerators are (p, q, q, 0, q, 0) with nothing to fold."""
+        return CycElt._make(7, (p, q, q, 0, q, 0), den)
+
+    @staticmethod
     def zero(n: int) -> "CycElt":
         return CycElt._make(n, (0,) * euler_phi(n))
 

@@ -11,9 +11,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, repeat
+from operator import truediv
 from typing import NamedTuple
 
 from . import validated
+from .config import local_factors
 from .symreal import SymbolicReal, NotRational
 
 
@@ -188,8 +191,13 @@ def l_series_oracle(n: int, chi: DirichletCharacter, terms: int) -> tuple[float,
         raise ValueError("need n >= 2 and terms >= 10")
     tail = terms ** (1 - n) / (n - 1)
     f = chi.modulus
-    period = [chi(r) for r in range(f)]  # chi(m) = period[m % f], read once
-    return math.fsum(period[m % f] / m ** n for m in range(1, terms + 1)), tail
+    signs = {r: chi(r) for r in range(1, f + 1)}
+    # chi(r)/m^n for m = r, r + f, ... <= terms, one residue r at a time: each term is
+    # one correctly rounded int/int division, and fsum rounds the exact sum once, so
+    # the order of the terms does not change the result
+    return math.fsum(chain.from_iterable(
+        map(truediv, repeat(c), map(pow, range(r, terms + 1, f), repeat(n)))
+        for r, c in signs.items() if c)), tail
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +228,12 @@ def covolume(v: VolumeInput) -> Fraction:
         e *= Fraction(val)
     acc = acc * SymbolicReal.rational(e)
     return acc.as_rational()
+
+
+def covolume_from_config(cfg: dict, zeta_2: SymbolicReal, l_value: SymbolicReal) -> Fraction:
+    """`covolume` of the principal arithmetic group from zeta(2), L(3, chi_-7)
+    and the config's `local_factors`, checked by `config.local_factors`."""
+    return covolume(VolumeInput(7, 1, 1, zeta_2, l_value, local_factors(cfg)))
 
 
 def euler_number_of_cover(covol: Fraction, index: int) -> Fraction:

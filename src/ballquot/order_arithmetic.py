@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import NamedTuple
 
-from . import Frozen, matrix3 as m3
+from . import Frozen, factor_int as _factor_int, matrix3 as m3
 from .cyclotomic import CycElt, euler_phi, lam, lam_bar
 from .cyclic_algebra import AlgElt, b_element
 
@@ -53,9 +53,8 @@ def K_coords(a: CycElt) -> tuple[Fraction, Fraction]:
 
 
 def _K_elt(p: int, q: int, den: int = 1) -> CycElt:
-    """(p + q*lambda) / den for integers p, q and den > 0: lambda = zeta +
-    zeta^2 + zeta^4, so p + q*lambda is the vector (p, q, q, 0, q, 0, 0) of Z[C_7]."""
-    return CycElt.from_group_ring(7, [p, q, q, 0, q, 0, 0], den)
+    """(p + q*lambda) / den for integers p, q and den > 0."""
+    return CycElt.from_K(p, q, den)
 
 
 def is_K_integral(a: CycElt) -> bool:
@@ -177,10 +176,10 @@ class OrderBasis(Frozen):
         rows, den = self._coordinate_solver
         (x0, x1, x2), common = x.numerators()
         rhs = x0 + x1 + x2
-        # p_k + q_k*lambda over den*common, canonicalised by from_group_ring: so its den
+        # p_k + q_k*lambda over den*common, canonicalised by from_K: so its den
         # is 1 exactly when p_k and q_k are integers, i.e. the coordinate is in o_K
         sol = [sum(map(operator.mul, row, rhs)) for row in rows]
-        return [_K_elt(p, q, den * common) for p, q in zip(sol[0::2], sol[1::2])]
+        return [CycElt.from_K(p, q, den * common) for p, q in zip(sol[0::2], sol[1::2])]
 
 
 def gram_matrix(basis: OrderBasis) -> list[list[CycElt]]:
@@ -197,21 +196,6 @@ def gram_matrix(basis: OrderBasis) -> list[list[CycElt]]:
                 raise BasisNotIntegral("reduced trace landed outside K")
             g[i][j] = g[j][i] = t
     return g
-
-
-def _factor_int(n: int) -> dict[int, int]:
-    """Prime factorization of |n| by trial division up to sqrt(|n|)."""
-    factors: dict[int, int] = {}
-    n = abs(n)
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:  # no factor up to its square root: a prime
-        factors[n] = 1
-    return factors
 
 
 def discriminant(basis: OrderBasis | None = None) -> dict:

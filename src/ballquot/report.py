@@ -14,7 +14,6 @@ bound of the direct Dirichlet series printed as its expected value.
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 
 from . import __version__, read_data
@@ -27,10 +26,9 @@ from . import singularities as sg
 from . import dimension as dim
 from . import classifier as cl
 from .symreal import SymbolicReal
-
-
-class ConfigError(ValueError):
-    pass
+# the input layer, which `config` holds so that a command can load it alone;
+# `report.ConfigError`, `report.load_config` and the rest still name it
+from .config import ConfigError, DEFAULT_CONFIG, exact_integer, exact_rational, load_config
 
 
 DEVIATIONS = {
@@ -40,90 +38,6 @@ DEVIATIONS = {
     "dim_tilde_k3": 2,
 }
 NO_REFERENCE = {"hb_determinant"}
-
-
-DEFAULT_CONFIG = {
-    "local_factors": {"2": "3", "7": "1"},
-    "indices": {"congruence": 7},
-}
-
-
-def load_config(path: str | None = None) -> dict:
-    """The default config, or the one at `path`, which must have exactly the
-    sections of `DEFAULT_CONFIG` and the same `indices` keys."""
-    if path is None:
-        return json.loads(json.dumps(DEFAULT_CONFIG))
-    try:
-        with open(path) as f:
-            cfg = json.load(f)
-    except OSError as e:
-        raise ConfigError(f"cannot read config: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config is not valid JSON: {e}") from e
-    except RecursionError as e:
-        raise ConfigError("config is nested too deeply to read") from e
-    _check_keys("config", cfg, DEFAULT_CONFIG)
-    _check_keys("indices", cfg["indices"], DEFAULT_CONFIG["indices"])
-    return cfg
-
-
-def _check_keys(where: str, got, known: dict) -> None:
-    if not isinstance(got, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown, missing = sorted(set(got) - set(known)), sorted(set(known) - set(got))
-    if unknown or missing:
-        raise ConfigError(f"{where}: unknown keys {unknown}, missing keys {missing}")
-
-
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
-_DECIMAL = re.compile(r"[1-9][0-9]*")
-_PRIME_LIMIT = 2 ** 32
-
-
-def exact_rational(value, what: str) -> Fraction:
-    """A JSON integer, or a string "p" or "p/q" of integers, as a Fraction.
-    Anything else (a float, bool, null, "1.5", "1e9") is a ConfigError, so no
-    input can switch the arithmetic to floats."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)) or (
-            isinstance(value, str) and not _RATIONAL.fullmatch(value)):
-        raise ConfigError(f"{what} must be an integer or a string p or p/q, got {value!r}")
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError) as e:
-        raise ConfigError(f"bad {what}: {e}") from e
-
-
-def exact_integer(value, what: str) -> int:
-    """A JSON integer; a float, bool, string or any other value is a ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def decimal_key(key: str, what: str) -> int:
-    """A JSON object key that spells a positive integer in plain decimal."""
-    if not _DECIMAL.fullmatch(key):
-        raise ConfigError(f"{what} must be a positive integer in decimal, got {key!r}")
-    try:
-        return int(key)
-    except ValueError as e:
-        raise ConfigError(f"bad {what}: {e}") from e
-
-
-def covolume(cfg: dict, zeta_2: SymbolicReal, l_value: SymbolicReal) -> Fraction:
-    """Covolume of the principal arithmetic group from zeta(2), L(3, chi_-7)
-    and the config's `local_factors`: a nonempty mapping from primes below
-    2^32, written in decimal, to exact rationals."""
-    factors = cfg["local_factors"]
-    if not isinstance(factors, dict) or not factors:
-        raise ConfigError("local_factors must be a nonempty JSON object")
-    local = {}
-    for prime, v in factors.items():
-        p = decimal_key(prime, "local factor key")
-        if not (2 <= p < _PRIME_LIMIT and oa._factor_int(p) == {p: 1}):
-            raise ConfigError(f"local factor key must be a prime below 2^32, got {prime!r}")
-        local[prime] = exact_rational(v, f"local factor at {prime}")
-    return lf.covolume(lf.VolumeInput(7, 1, 1, zeta_2, l_value, local))
 
 
 class VerificationReport:
@@ -209,7 +123,7 @@ def run_all(config_path: str | None = None) -> VerificationReport:
     z2 = lf.riemann_zeta(2)
     r.add("zeta_2", "zeta value at 2", "1/6 * pi^2", str(z2))
 
-    vol = covolume(cfg, z2, lval)
+    vol = lf.covolume_from_config(cfg, z2, lval)
     r.add("covolume", "covolume of the principal arithmetic group", "3/7", _frac(vol))
     idx = exact_integer(cfg["indices"]["congruence"], "indices.congruence")
     c2 = lf.euler_number_of_cover(vol, idx)
@@ -288,10 +202,12 @@ def run_all(config_path: str | None = None) -> VerificationReport:
           and 3 * sg.euler_height(xgt) == sg.euler_height(xg)
           and 3 * sg.signature_height(xgt) == sg.signature_height(xg)
           and sg.check_cover_multiplicativity(Fraction(3), Fraction(1), xgt, 21))
+    # keyed by group, like fibrations.json: e(Y) of each resolution is what its fibers sum to
+    resolved = {"gamma": sg.resolve_invariants(xg), "gamma_tilde": sg.resolve_invariants(xgt)}
     r.add("resolution_quotient", "resolved invariants of the order-7 quotient",
-          "(12, -8, 9)", str(tuple(map(str, sg.resolve_invariants(xg)))).replace("'", ""))
+          "(12, -8, 9)", str(tuple(map(str, resolved["gamma"]))).replace("'", ""))
     r.add("resolution_normalizer", "resolved invariants of the normalizer quotient",
-          "(12, -8, 9)", str(tuple(map(str, sg.resolve_invariants(xgt)))).replace("'", ""))
+          "(12, -8, 9)", str(tuple(map(str, resolved["gamma_tilde"]))).replace("'", ""))
     sols = sg.solve_branch_data(Fraction(3), Fraction(1), [c73],
                                 Fraction(1, 7), Fraction(1, 21), 12)
     found = [(n, tuple(sorted((p.n, p.q) for p in pts))) for n, pts in sols]
@@ -340,7 +256,7 @@ def run_all(config_path: str | None = None) -> VerificationReport:
                   for f in data["fibers"]]
         r.add(f"fibration_euler_{label}",
               f"fiber Euler numbers sum to the Euler number ({label})",
-              True, cl.fibration_euler_check(fibers, Fraction(data["expected_c2"])))
+              True, cl.fibration_euler_check(fibers, resolved[label][0]))
         r.add(f"fibration_components_{label}",
               f"fiber component accounting ({label})",
               True, cl.fiber_component_accounting(

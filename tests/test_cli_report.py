@@ -376,6 +376,31 @@ def test_a_value_off_its_documented_deviation_is_a_mismatch(monkeypatch, entry_i
     assert r.exit_code() == 1
 
 
+@pytest.mark.parametrize("off, mismatched", [
+    ("both", {"gamma", "gamma_tilde"}),
+    ("gamma", {"gamma"}),
+    ("gamma_tilde", {"gamma_tilde"}),
+])
+def test_the_fibers_sum_to_the_computed_euler_number(monkeypatch, off, mismatched):
+    """Each fibration is checked against e(Y) of its own resolved quotient:
+    the order-7 quotient (three (7,3) points) for gamma, the normalizer
+    quotient for gamma_tilde.  An e(Y) of 11 there is a mismatch."""
+    from ballquot import singularities as sg
+    real = sg.resolve_invariants
+
+    def resolve_invariants(x):
+        e, s, blowups = real(x)
+        label = "gamma" if len(x.points) == 3 else "gamma_tilde"
+        return (Fraction(11) if off in ("both", label) else e), s, blowups
+
+    monkeypatch.setattr(sg, "resolve_invariants", resolve_invariants)
+    r = rpt.run_all()
+    status = {e["id"]: e["status"] for e in r.entries}
+    assert {label for label in ("gamma", "gamma_tilde")
+            if status[f"fibration_euler_{label}"] == "mismatch"} == mismatched
+    assert r.exit_code() == 1
+
+
 def _refuse_to_run(*args, **kwargs):
     raise AssertionError("the ceiling should refuse this before any work")
 

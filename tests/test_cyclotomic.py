@@ -145,6 +145,16 @@ def test_from_group_ring_reads_n_integers_of_the_group_ring():
             CycElt.from_group_ring(7, short_or_long)
 
 
+def test_from_K_is_p_plus_q_lambda_over_den():
+    for p in range(-4, 5):
+        for q in range(-4, 5):
+            for den in (1, 2, 6):
+                want = CycElt.from_group_ring(7, [p, q, q, 0, q, 0, 0], den)
+                assert CycElt.from_K(p, q, den) == want
+                assert want == (CycElt.rational(7, p) + lam() * q) * Fraction(1, den)
+    assert CycElt.from_K(4, -2, 6).num == (2, -1, -1, 0, -1, 0)  # canonical: over 3
+
+
 @pytest.mark.parametrize("n", [0, -5])
 def test_a_modulus_below_one_is_a_value_error(n):
     builders = [lambda: CycElt(n, ()), lambda: CycElt.zero(n), lambda: CycElt.one(n),

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -57,6 +58,19 @@ def test_printed_constant_disagrees_with_series():
     printed = SymbolicReal.term(Fraction(-7, 392), 3, 1)
     series, tail = lf.l_series_oracle(3, chi, 10000)
     assert abs(float(printed.to_float()) - series) > 1000 * tail
+
+
+@pytest.mark.parametrize("d, n, terms", [(-7, 3, 20000), (-7, 3, 100000), (-7, 5, 1000),
+                                         (-7, 7, 12345), (-7, 9, 10), (-4, 3, 999),
+                                         (5, 2, 5000), (1, 2, 777)])
+def test_the_series_oracle_is_bit_equal_to_the_sum_term_by_term(d, n, terms):
+    chi = lf.DirichletCharacter.kronecker(d)
+    f = chi.modulus
+    period = [chi(r) for r in range(f)]
+    by_term = math.fsum(period[m % f] / m ** n for m in range(1, terms + 1))
+    series, tail = lf.l_series_oracle(n, chi, terms)
+    assert series.hex() == by_term.hex()
+    assert tail == terms ** (1 - n) / (n - 1)
 
 
 def test_covolume_is_exactly_rational():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import ballquot
 from ballquot.cyclic_algebra import AlgElt, b_element
 from ballquot.cyclotomic import CycElt, euler_phi, lam, lam_bar, zeta7
 from ballquot import order_arithmetic as oa
@@ -193,6 +194,10 @@ def test_cached_coordinates_match_a_fresh_elimination_and_rebuild_x():
 def test_factor_int_stops_at_the_square_root():
     assert oa._factor_int(1_000_000_007) == {1_000_000_007: 1}
     assert oa._factor_int(-2**6 * 7**3 * 10_000_019) == {2: 6, 7: 3, 10_000_019: 1}
+
+
+def test_the_order_and_the_config_share_one_trial_division():
+    assert oa._factor_int is ballquot.factor_int
 
 
 def test_congruence_index():

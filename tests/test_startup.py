@@ -10,18 +10,110 @@ from pathlib import Path
 import pytest
 
 import ballquot
+from ballquot import config, report
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 UNUSED = ("dataclasses", "inspect", "datetime", "importlib.resources")
 
 
-def run_cold(code: str) -> str:
-    """stdout of `code` in a fresh interpreter without `site`, whose .pth
+def run_python(*args: str, check: bool = True) -> subprocess.CompletedProcess:
+    """`python -S ARGS` in a fresh interpreter: without `site`, whose .pth
     files may import modules of their own."""
-    return subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+    return subprocess.run([sys.executable, "-S", *args], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(
                               [str(SRC), os.environ.get("PYTHONPATH", "")])},
-                          check=True).stdout
+                          check=check)
+
+
+def run_cold(code: str) -> str:
+    """stdout of `code` in a fresh interpreter without `site`."""
+    return run_python("-c", code).stdout
+
+
+def _write_json(tmp_path, doc: dict) -> str:
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+EVERY_MODULE = sorted(["ballquot"] + [f"ballquot.{p.stem}" for p in
+                                      Path(ballquot.__file__).parent.glob("*.py")
+                                      if p.stem != "__init__"])
+HEIGHTS = {"euler": "3", "signature": 1, "points": [[7, 3], [7, 3], [7, 3]]}
+CLASSIFY = {"c2": 3, "q": 0, "plurigenera": {"2": 10, "3": 28}}
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (None, []),
+    (["--help"], []),
+    (["resolve", "7", "3"], ["singularities"]),
+    (["heights", HEIGHTS], ["singularities"]),
+    (["lvalue"], ["lfunctions", "symreal"]),
+    (["volume"], ["lfunctions", "symreal"]),
+    (["dims", "--group", "gamma", "--weight", "3"], ["cyclotomic", "dimension", "symreal"]),
+    (["classify", CLASSIFY], ["classifier"]),
+    (["report"], None),
+], ids=["import", "help", "resolve", "heights", "lvalue", "volume", "dims", "classify",
+        "report"])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loads):
+    """`import ballquot.cli` loads the package, `cli` and the input layer
+    `config`; a command adds the modules it runs, the report all of them."""
+    if argv is not None:
+        argv = [a if isinstance(a, str) else _write_json(tmp_path, a) for a in argv]
+    out = run_cold("import contextlib, io, sys\n"
+                   "from ballquot.cli import main\n"
+                   f"if {argv!r} is not None:\n"
+                   "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                   f"        assert main({argv!r}) == 0\n"
+                   "print(sorted(m for m in sys.modules if m.startswith('ballquot')))\n")
+    want = EVERY_MODULE if loads is None else sorted(
+        ["ballquot", "ballquot.cli", "ballquot.config"] + [f"ballquot.{m}" for m in loads])
+    assert out.splitlines()[-1] == repr(want)
+
+
+def test_a_refused_group_loads_no_dimension_layer():
+    out = run_cold("import contextlib, io, sys\n"
+                   "from ballquot.cli import main\n"
+                   "with contextlib.redirect_stderr(io.StringIO()):\n"
+                   "    code = main(['dims', '--group', 'nope', '--weight', '3'])\n"
+                   "print(code, sorted(m for m in sys.modules if m.startswith('ballquot.')))\n")
+    assert out.splitlines()[-1] == "2 ['ballquot.cli', 'ballquot.config']"
+
+
+def test_the_order_layers_load_no_input_layer():
+    out = run_cold("import sys\n"
+                   "import ballquot.order_arithmetic\n"
+                   "print(sorted(m for m in sys.modules if m.startswith('ballquot')))\n")
+    assert "ballquot.config" not in out and "ballquot.order_arithmetic" in out
+
+
+BAD_FACTOR = {"local_factors": {"2": 3.5, "7": "1"}, "indices": {"congruence": 7}}
+
+
+@pytest.mark.parametrize("argv", [
+    ["volume", "--config", BAD_FACTOR],
+    ["report", "--config", BAD_FACTOR],
+    ["lvalue", "--weight", "402"],
+    ["resolve", "100000007", "100000006"],
+    ["dims", "--group", "nope", "--weight", "3"],
+    ["heights", {**HEIGHTS, "euler": 0.5}],
+    ["classify", {**CLASSIFY, "c2": 3.0}],
+], ids=lambda argv: argv[0])
+def test_every_command_reports_bad_input_as_a_config_error(tmp_path, argv):
+    """Each command raises the `ConfigError` that `main` catches, though it
+    imports its modules only when it runs."""
+    argv = [a if isinstance(a, str) else _write_json(tmp_path, a) for a in argv]
+    done = run_python("-m", "ballquot.cli", *argv, check=False)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("config error: ") and done.stderr.count("\n") == 1
+
+
+def test_the_report_names_the_input_layer_of_config():
+    assert report.ConfigError is config.ConfigError
+    assert report.DEFAULT_CONFIG is config.DEFAULT_CONFIG
+    assert report.load_config is config.load_config
+    assert report.exact_rational is config.exact_rational
+    assert report.exact_integer is config.exact_integer
 
 
 def test_a_cold_run_loads_no_module_it_does_not_execute():
