@@ -11,10 +11,10 @@ algebra layer.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .config import ConfigError, decimal_key, exact_integer, exact_rational, load_config
+from .config import (ConfigError, decimal_key, exact_integer, exact_rational, load_config,
+                     read_object)
 
 MAX_WEIGHT = 401
 MAX_TERMS = 10**7
@@ -55,20 +55,9 @@ def _cmd_resolve(args) -> int:
     return 0
 
 
-def _read_object(path: str) -> dict:
-    with open(path) as f:
-        try:
-            data = json.load(f)
-        except RecursionError as e:
-            raise ConfigError(f"{path} is nested too deeply to read") from e
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path} must hold a JSON object")
-    return data
-
-
 def _cmd_heights(args) -> int:
     from . import singularities as sg
-    data = _read_object(args.file)
+    data = read_object(args.file, args.file)
     raw = data["points"]
     if not isinstance(raw, list) or not all(isinstance(p, list) and len(p) == 2 for p in raw):
         raise ConfigError("points must be a list of [n, q] pairs")
@@ -94,7 +83,7 @@ def _cmd_dims(args) -> int:
 
 def _cmd_classify(args) -> int:
     from . import classifier as cl
-    data = _read_object(args.file)
+    data = read_object(args.file, args.file)
     raw = data.get("plurigenera", {})
     if not isinstance(raw, dict):
         raise ConfigError("plurigenera must be a JSON object")
@@ -188,7 +177,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
+    except (OSError, KeyError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -31,18 +31,25 @@ def load_config(path: str | None = None) -> dict:
     sections of `DEFAULT_CONFIG` and the same `indices` keys."""
     if path is None:
         return json.loads(json.dumps(DEFAULT_CONFIG))
-    try:
-        with open(path) as f:
-            cfg = json.load(f)
-    except OSError as e:
-        raise ConfigError(f"cannot read config: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config is not valid JSON: {e}") from e
-    except RecursionError as e:
-        raise ConfigError("config is nested too deeply to read") from e
+    cfg = read_object(path, "config")
     _check_keys("config", cfg, DEFAULT_CONFIG)
     _check_keys("indices", cfg["indices"], DEFAULT_CONFIG["indices"])
     return cfg
+
+
+def read_object(path: str, what: str) -> dict:
+    """The JSON object in the file at `path`, named `what` in errors; an unreadable
+    file, invalid or too deeply nested JSON, or a non-object is a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            data = json.load(f)
+    except RecursionError as e:
+        raise ConfigError(f"{what} is nested too deeply to read") from e
+    except (OSError, ValueError) as e:  # ValueError: not JSON, or not UTF-8 text
+        raise ConfigError(f"cannot read {what} as JSON: {e}") from e
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    return data
 
 
 def _check_keys(where: str, got, known: dict) -> None:

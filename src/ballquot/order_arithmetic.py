@@ -47,14 +47,9 @@ def K_coords(a: CycElt) -> tuple[Fraction, Fraction]:
     """Write an element of K as p + q*lambda (basis of o_K)."""
     if not a.in_K():
         raise ValueError("element is not in the subfield K")
-    if _K_elt(a.num[0], a.num[1], a.den) != a:
+    if CycElt.from_K(a.num[0], a.num[1], a.den) != a:
         raise AssertionError("K coordinate extraction failed")
     return a.coeffs[0], a.coeffs[1]
-
-
-def _K_elt(p: int, q: int, den: int = 1) -> CycElt:
-    """(p + q*lambda) / den for integers p, q and den > 0."""
-    return CycElt.from_K(p, q, den)
 
 
 def is_K_integral(a: CycElt) -> bool:
@@ -220,7 +215,7 @@ def discriminant(basis: OrderBasis | None = None) -> dict:
         rows.append([_OK(t.num[0] * (s // t.den), t.num[1] * (s // t.den)) for t in row])
         scale *= s
     det = m3.determinant(rows)
-    d = _K_elt(det.p, det.q, scale)
+    d = CycElt.from_K(det.p, det.q, scale)
     result: dict = {"determinant": d}
     if d.is_rational():
         val = d.as_rational()
@@ -346,5 +341,4 @@ def torsion_free_check(ideal_norm: int, torsion_order: int) -> bool:
     if ideal_norm < 2:
         raise ValueError("ideal norm must be >= 2")
     # N(eta - 1) for eta a primitive p-th root of unity is Phi_p(1) = p
-    cyclo_at_one = torsion_order
-    return cyclo_at_one % ideal_norm != 0
+    return torsion_order % ideal_norm != 0

@@ -44,6 +44,52 @@ def test_the_default_report_is_byte_identical(capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == REPORT_SHA256
 
 
+# sha256 of the stdout of `ballquot report --format md`, moved under the same rule
+REPORT_MD_SHA256 = "f37c5030de075f205ae059b9bf4db1b04d873be0f8a2d0cf8ab10d0abdcc8796"
+
+
+def test_the_markdown_report_is_byte_identical(capsys):
+    assert main(["report", "--format", "md"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == REPORT_MD_SHA256
+
+
+@pytest.mark.parametrize("expected, computed", [
+    (1, True), (Fraction(1, 2), 0.5), ((Fraction(3, 7),), (3 / 7,)), (0.5, 0.5),
+    ({2: 6}, {2: True}), (frozenset({1}), frozenset({True})),
+])
+def test_values_of_another_type_or_a_float_never_match(expected, computed):
+    r = rpt.VerificationReport()
+    r.add("x", "anchor", expected, computed)
+    assert [e["status"] for e in r.mismatches()] == ["mismatch"]
+    assert r.exit_code() == 1
+
+
+def test_a_float_has_no_report_text():
+    with pytest.raises(TypeError):
+        rpt.render(0.5)
+    with pytest.raises(TypeError):
+        rpt.render((Fraction(1, 2), 0.5))
+
+
+def test_every_check_passes_exact_values(monkeypatch):
+    # the one text that reaches `add` is the series the closed form is checked against
+    real, texts = rpt.VerificationReport.add, []
+
+    def add(self, entry_id, anchor, expected, computed, *args, **kwargs):
+        values = [expected, computed] + [v for v in args + tuple(kwargs.values())
+                                         if not callable(v)]
+        assert not any(isinstance(v, float) for v in values), entry_id
+        texts.extend((entry_id, v) for v in (expected, computed) if isinstance(v, str))
+        return real(self, entry_id, anchor, expected, computed, *args, **kwargs)
+
+    monkeypatch.setattr(rpt.VerificationReport, "add", add)
+    r = rpt.run_all()
+    assert len(r.entries) == 39
+    assert [entry_id for entry_id, _ in texts] == ["l_value_closed_form"]
+    assert texts[0][1].startswith("series ")
+    assert not any(isinstance(v, str) for v in rpt.DEVIATIONS.values())
+
+
 def test_report_json_is_deterministic(default_report):
     assert default_report.to_json() == rpt.run_all().to_json()
     meta = default_report.metadata
@@ -274,6 +320,18 @@ def test_heights_and_classify_need_a_json_object(tmp_path, capsys, command):
     f.write_text(json.dumps([3, 1]))
     assert main([command, str(f)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["heights", "classify"])
+@pytest.mark.parametrize("content", [None, b"{", b"[1]", b"\xff{}"])
+def test_an_unreadable_or_malformed_input_file_is_a_config_error(tmp_path, capsys, command,
+                                                                 content):
+    f = tmp_path / "data.json"
+    if content is not None:
+        f.write_bytes(content)
+    assert main([command, str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error:")
 
 
 @pytest.mark.parametrize("argv", [["report", "--config"], ["heights"], ["classify"]])

@@ -295,8 +295,8 @@ def test_elimination_matches_the_3x3_closed_forms(entries):
     # entries p + q*lambda of o_K; their p parts make an integer matrix
     rows = [entries[3 * i:3 * i + 3] for i in range(3)]
     d = m3.determinant([[oa._OK(p, q) for p, q in row] for row in rows])
-    assert oa._K_elt(d.p, d.q) == m3.det(m3.mat([oa._K_elt(p, q) for p, q in row]
-                                                for row in rows))
+    assert CycElt.from_K(d.p, d.q) == m3.det(m3.mat([CycElt.from_K(p, q) for p, q in row]
+                                                    for row in rows))
     a = [[p for p, _ in row] for row in rows]
     if m3.det(as_field(a)):
         inv, den = m3.integer_inverse(a)
