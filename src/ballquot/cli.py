@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from .config import (ConfigError, decimal_key, exact_integer, exact_rational, load_config,
-                     read_object)
+                     read_object, required)
 
 MAX_WEIGHT = 401
 MAX_TERMS = 10**7
@@ -58,13 +58,14 @@ def _cmd_resolve(args) -> int:
 def _cmd_heights(args) -> int:
     from . import singularities as sg
     data = read_object(args.file, args.file)
-    raw = data["points"]
+    raw = required(data, "points", args.file)
     if not isinstance(raw, list) or not all(isinstance(p, list) and len(p) == 2 for p in raw):
         raise ConfigError("points must be a list of [n, q] pairs")
     pts = tuple(sg.CyclicSingularity(exact_integer(n, "point order n"),
                                      exact_integer(q, "point weight q")) for n, q in raw)
-    x = sg.OrbifoldSurface(exact_rational(data["euler"], "euler"),
-                           exact_rational(data["signature"], "signature"), pts)
+    x = sg.OrbifoldSurface(exact_rational(required(data, "euler", args.file), "euler"),
+                           exact_rational(required(data, "signature", args.file), "signature"),
+                           pts)
     print(f"euler_height     {sg.euler_height(x)}")
     print(f"signature_height {sg.signature_height(x)}")
     e, s, blow = sg.resolve_invariants(x)
@@ -92,7 +93,7 @@ def _cmd_classify(args) -> int:
     minimal = data.get("minimal", True)
     if not isinstance(minimal, bool):
         raise ConfigError(f"minimal must be true or false, got {minimal!r}")
-    c2 = exact_rational(data["c2"], "c2")
+    c2 = exact_rational(required(data, "c2", args.file), "c2")
     q = exact_rational(data.get("q", 0), "q")
     if "signature" in data:
         s = cl.invariants_from_resolution(

@@ -52,6 +52,14 @@ def read_object(path: str, what: str) -> dict:
     return data
 
 
+def required(data: dict, key: str, what: str):
+    """data[key]; a missing key is a ConfigError that names it and `what`."""
+    try:
+        return data[key]
+    except KeyError:
+        raise ConfigError(f"{what} has no key {key!r}") from None
+
+
 def _check_keys(where: str, got, known: dict) -> None:
     if not isinstance(got, dict):
         raise ConfigError(f"{where} must be a JSON object")

@@ -48,7 +48,15 @@ class NotIotaInvariant(ValueError):
 class AlgElt(Frozen):
     """x0 + x1*u + x2*u^2 with xi in L = Q(zeta_7)."""
 
-    __slots__ = _fields = ("x0", "x1", "x2")  # each a CycElt
+    _fields = ("x0", "x1", "x2")  # each a CycElt; equality, hash and repr read these
+    __slots__ = _fields + ("_numerators",)  # `numerators()`, built on first use
+
+    def __init__(self, x0: CycElt, x1: CycElt, x2: CycElt) -> None:
+        setter = object.__setattr__
+        setter(self, "x0", x0)
+        setter(self, "x1", x1)
+        setter(self, "x2", x2)
+        setter(self, "_numerators", None)
 
     @staticmethod
     def from_L(a: CycElt) -> "AlgElt":
@@ -100,11 +108,16 @@ class AlgElt(Frozen):
         return self.x0.is_zero() and self.x1.is_zero() and self.x2.is_zero()
 
     def numerators(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """The power-basis numerators of x0, x1, x2 over their least common denominator."""
-        comps = (self.x0, self.x1, self.x2)
-        den = lcm(*(c.den for c in comps))
-        return tuple(c.num if c.den == den else tuple(a * (den // c.den) for a in c.num)
-                     for c in comps), den
+        """The power-basis numerators of x0, x1, x2 over their least common
+        denominator, built once per element."""
+        r = self._numerators
+        if r is None:
+            comps = (self.x0, self.x1, self.x2)
+            den = lcm(*(c.den for c in comps))
+            r = tuple(c.num if c.den == den else tuple(a * (den // c.den) for a in c.num)
+                      for c in comps), den
+            object.__setattr__(self, "_numerators", r)
+        return r
 
     # -- reduced characteristic polynomial
 

@@ -25,6 +25,13 @@ a real element is exact: `interval` encloses its value between two
 
 N = 7 carries the core field L = Q(zeta_7) with its quadratic subfield
 K = Q(sqrt(-7)); N = 21 is used for mixed order-3/order-7 fixed point data.
+K has one shape in the power basis of L.  lambda = zeta + zeta^2 + zeta^4 is
+a Gauss period, so (p + q*lambda)/den has the numerators (p, q, q, 0, q, 0)
+(`CycElt.from_K`), and an element lies in K exactly when its numerators
+have that shape (`in_K`).  sigma: zeta -> zeta^2 permutes the exponents
+{1, 2, 4} and {3, 5, 6}, so Tr_{L/K} sends zeta^t to 3, lambda or
+lambda_bar = -1 - lambda, and `trace_to_K` is two integer sums of the
+numerators.  None of the three needs a Galois map.
 """
 
 from __future__ import annotations
@@ -162,6 +169,10 @@ class CycElt:
         if g != 1:
             num = tuple([a // g for a in num])
             den //= g
+        self._store(n, num, den)
+
+    def _store(self, n: int, num: tuple[int, ...], den: int) -> None:
+        """Set the fields from numerators and a denominator already canonical."""
         setter = object.__setattr__
         setter(self, "modulus", n)
         setter(self, "num", num)
@@ -224,8 +235,14 @@ class CycElt:
     def from_K(p: int, q: int, den: int = 1) -> "CycElt":
         """(p + q*lambda) / den in Q(zeta_7) for integers p, q and den > 0:
         lambda = zeta + zeta^2 + zeta^4 has no zeta^6 term, so the power-basis
-        numerators are (p, q, q, 0, q, 0) with nothing to fold."""
-        return CycElt._make(7, (p, q, q, 0, q, 0), den)
+        numerators are (p, q, q, 0, q, 0) with nothing to fold, canonical
+        once p, q and den are divided by their gcd."""
+        g = gcd(den, p, q)
+        if g != 1:
+            p, q, den = p // g, q // g, den // g
+        self = object.__new__(CycElt)
+        self._store(7, (p, q, q, 0, q, 0), den)
+        return self
 
     @staticmethod
     def zero(n: int) -> "CycElt":
@@ -358,14 +375,19 @@ class CycElt:
     # -- traces and norms
 
     def trace_to_K(self) -> "CycElt":
-        """Trace from L = Q(zeta_7) to K = Q(sqrt(-7)): a + a^sigma + a^sigma^2."""
+        """Trace a + a^sigma + a^sigma^2 from L = Q(zeta_7) to K = Q(sqrt(-7)),
+        read off the numerators: zeta^t traces to 3 for t = 0, to lambda for
+        t in {1, 2, 4} and to lambda_bar = -1 - lambda for t in {3, 5, 6}."""
         self._require_mod7()
-        return self + self.galois(2) + self.galois(4)
+        a0, a1, a2, a3, a4, a5 = self.num
+        return CycElt.from_K(3 * a0 - a3 - a5, a1 + a2 + a4 - a3 - a5, self.den)
 
     def in_K(self) -> bool:
-        """True when the element lies in the sigma-fixed subfield K (N = 7)."""
+        """True when the element lies in the sigma-fixed subfield K (N = 7):
+        its numerators have the shape (p, q, q, 0, q, 0) of `from_K`."""
         self._require_mod7()
-        return self.galois(2) == self
+        _, a1, a2, a3, a4, a5 = self.num
+        return a1 == a2 == a4 and a3 == a5 == 0
 
     def _require_mod7(self) -> None:
         if self.modulus != 7:

@@ -108,6 +108,19 @@ def test_every_command_reports_bad_input_as_a_config_error(tmp_path, argv):
     assert done.stderr.startswith("config error: ") and done.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, doc, key", [
+    ("heights", HEIGHTS, "points"),
+    ("heights", HEIGHTS, "euler"),
+    ("heights", HEIGHTS, "signature"),
+    ("classify", CLASSIFY, "c2"),
+], ids=["points", "euler", "signature", "c2"])
+def test_a_missing_required_key_is_a_config_error_that_names_it(tmp_path, command, doc, key):
+    path = _write_json(tmp_path, {k: v for k, v in doc.items() if k != key})
+    done = run_python("-m", "ballquot.cli", command, path, check=False)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"config error: {path} has no key {key!r}\n"
+
+
 def test_the_report_names_the_input_layer_of_config():
     assert report.ConfigError is config.ConfigError
     assert report.DEFAULT_CONFIG is config.DEFAULT_CONFIG
