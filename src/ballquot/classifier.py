@@ -32,16 +32,12 @@ class SurfaceInvariants(NamedTuple):
 
 def ball_quotient_invariants(c2: Fraction, q_irr: Fraction,
                              plurigenera: dict[int, int] | None = None) -> SurfaceInvariants:
-    """Invariants of a smooth compact 2-ball quotient: c1^2 = 3 c2,
-    chi = signature = c2/3, p_g = chi - 1 + q."""
+    """Invariants of a smooth compact 2-ball quotient: its signature is c2/3,
+    so c1^2 = 3 c2 and chi = c2/3 (`invariants_from_resolution`)."""
     c2 = Fraction(c2)
     if c2 <= 0:
         raise ValueError("a smooth compact ball quotient has c2 > 0")
-    q = Fraction(q_irr)
-    chi = c2 / 3
-    return SurfaceInvariants(
-        c2=c2, c1_sq=3 * c2, q_irr=q, p_g=chi - 1 + q, chi=chi,
-        signature=c2 / 3, plurigenera=dict(plurigenera or {}), minimal=True)
+    return invariants_from_resolution(c2, c2 / 3, q_irr, plurigenera, minimal=True)
 
 
 def invariants_from_resolution(c2: Fraction, signature: Fraction,

@@ -1,8 +1,9 @@
 """The cyclic division algebra D = D(L, sigma, alpha) over K = Q(sqrt(-7)).
 
 Elements are triples x0 + x1*u + x2*u^2 over L = Q(zeta_7), with
-u^3 = alpha = lambda/lambda_bar and a*u = u*a^sigma.  The canonical
-involution of second kind sends a |-> conj(a) on L and u |-> conj(alpha)*u^2.
+u^3 = alpha = lambda/lambda_bar = (-2 - lambda)/2 (closed forms in K, from the
+field layer) and a*u = u*a^sigma.  The canonical involution of second kind
+sends a |-> conj(a) on L and u |-> conj(alpha)*u^2.
 
 Every x in D satisfies its reduced characteristic polynomial
 t^3 - T(x) t^2 + S(x) t - nrd(x) over K (Reiner, Maximal Orders, section 9),
@@ -22,9 +23,9 @@ power-basis numerators over the operand's common denominator.  Every Galois
 map the three need (sigma^-i: zeta -> zeta^(4^i), conj: zeta -> zeta^6, and
 zeta -> zeta^3, zeta^5 for iota) is the kernel's index map b -> k*b mod 7,
 applied inside the convolution.  u^3 = alpha enters as alpha's integer
-vector over its denominator 2, and conj(alpha) likewise, both read once from
-`alpha()`.  Each output component goes back to the power basis through
-`CycElt.from_group_ring`, canonicalised once.
+vector (-2, -1, -1, 0, -1, 0) over its denominator 2, and conj(alpha)
+likewise, both read once from `alpha()`.  Each output component goes back to
+the power basis through `CycElt.from_group_ring`, canonicalised once.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from functools import cache, lru_cache
 from math import lcm
 
 from . import Frozen, matrix3 as m3
-from .cyclotomic import CycElt, alpha, convolve, index_map, lam, lam_bar
+from .cyclotomic import (UNIT, CycElt, alpha, convolve, index_map, lam, lam_bar,
+                         lambda_valuation)
 
 
 class NotInvertible(ValueError):
@@ -162,9 +164,9 @@ class AlgElt(Frozen):
         """
         _, conj_twist = _twists()
         conj, conj3, conj5 = index_map(7, 6), index_map(7, 3), index_map(7, 5)
-        return AlgElt(_component([(_ONE, self.x0.num, conj)], (), None, self.x0.den),
-                      _component((), [(_ONE, self.x2.num, conj3)], conj_twist, self.x2.den),
-                      _component((), [(_ONE, self.x1.num, conj5)], conj_twist, self.x1.den))
+        return AlgElt(_component([(UNIT, self.x0.num, conj)], (), None, self.x0.den),
+                      _component((), [(UNIT, self.x2.num, conj3)], conj_twist, self.x2.den),
+                      _component((), [(UNIT, self.x1.num, conj5)], conj_twist, self.x1.den))
 
     def iota_b(self, b: "AlgElt") -> "AlgElt":
         """Twisted involution x -> b * iota(x) * b^{-1}; b must be iota-invariant."""
@@ -178,7 +180,6 @@ class AlgElt(Frozen):
 # components of L as integer vectors of Z[C_7] = Z[x]/(x^7 - 1)
 
 _SIGMA_INV = tuple(index_map(7, 4 ** i % 7) for i in range(3))  # sigma^-i: zeta -> zeta^(4^i)
-_ONE = (1,)  # the unit of Z[C_7]: a term (_ONE, q, sigma) is the Galois image of q alone
 
 
 @cache
@@ -245,8 +246,6 @@ def is_division_algebra(alpha_elt: CycElt | None = None) -> tuple[bool, dict]:
     so local norms are exactly the elements of valuation divisible by the
     residue degree).  Returns (verdict, witness dict).
     """
-    from .order_arithmetic import lambda_valuation
-
     a = alpha_elt if alpha_elt is not None else alpha()
     if not a.in_K():
         raise ValueError("alpha must lie in the center K")

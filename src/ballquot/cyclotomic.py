@@ -8,8 +8,8 @@ the power basis zeta^0 .. zeta^(d-1), d = phi(N):
 always in canonical form: den > 0 and gcd(num[0], ..., num[d-1], den) = 1,
 so zero is all zeros over 1.  The power basis is an integral basis of
 Z[zeta_N], so every element has exactly one such form, and `==` and `hash`
-compare the integers directly.  `coeffs` is a cached view of the same
-element as a tuple of `Fraction`s.
+compare the integers directly.  `coeffs` reads the same element as a tuple
+of `Fraction`s, computed when it is read.
 
 One integer kernel does the arithmetic.  `convolve` adds p * sigma_k(q) to
 a vector of the group ring Z[C_N] = Z[x]/(x^N - 1), which maps onto
@@ -31,7 +31,10 @@ a Gauss period, so (p + q*lambda)/den has the numerators (p, q, q, 0, q, 0)
 have that shape (`in_K`).  sigma: zeta -> zeta^2 permutes the exponents
 {1, 2, 4} and {3, 5, 6}, so Tr_{L/K} sends zeta^t to 3, lambda or
 lambda_bar = -1 - lambda, and `trace_to_K` is two integer sums of the
-numerators.  None of the three needs a Galois map.
+numerators.  `K_parts` reads (p, q, den) back for `lambda_valuation`.  As
+lambda^2 = -lambda - 2 and N(lambda) = 2, alpha = lambda / lambda_bar =
+(-2 - lambda) / 2, so `lam`, `lam_bar` and `alpha` are `from_K` calls.  None
+of these needs a Galois map; no other module reads K's numerators.
 """
 
 from __future__ import annotations
@@ -147,7 +150,7 @@ def _over_common_denominator(coeffs) -> tuple[list[int], int]:
 class CycElt:
     """Element of Q(zeta_N): integer numerators `num` over `den`, canonical."""
 
-    __slots__ = ("modulus", "num", "den", "_coeffs")
+    __slots__ = ("modulus", "num", "den")
 
     def __init__(self, modulus: int, coeffs) -> None:
         num, den = _over_common_denominator(coeffs)
@@ -177,7 +180,6 @@ class CycElt:
         setter(self, "modulus", n)
         setter(self, "num", num)
         setter(self, "den", den)
-        setter(self, "_coeffs", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycElt is immutable")
@@ -188,11 +190,7 @@ class CycElt:
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients in the power basis, as Fractions."""
-        c = self._coeffs
-        if c is None:
-            c = tuple(Fraction(a, self.den) for a in self.num)
-            object.__setattr__(self, "_coeffs", c)
-        return c
+        return tuple(Fraction(a, self.den) for a in self.num)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CycElt):
@@ -389,6 +387,13 @@ class CycElt:
         _, a1, a2, a3, a4, a5 = self.num
         return a1 == a2 == a4 and a3 == a5 == 0
 
+    def K_parts(self) -> tuple[int, int, int]:
+        """The integers (p, q, den) of an element (p + q*lambda)/den of K, as
+        `from_K` takes them; ValueError outside K."""
+        if not self.in_K():
+            raise ValueError("element is not in the subfield K")
+        return self.num[0], self.num[1], self.den
+
     def _require_mod7(self) -> None:
         if self.modulus != 7:
             raise ValueError("operation defined for Q(zeta_7) only")
@@ -413,7 +418,7 @@ class CycElt:
 # ---------------------------------------------------------------------------
 # the arithmetic kernels, on canonical elements of one modulus
 
-_UNIT = (1,)  # x^0 of Z[C_n]: convolve(acc, _UNIT, q, sigma) adds sigma(q) alone
+UNIT = (1,)  # x^0 of Z[C_n]: convolve(acc, UNIT, q, sigma) adds sigma(q) alone
 
 
 def _mul(a: CycElt, b: CycElt) -> CycElt:
@@ -430,7 +435,7 @@ def _scale(a: CycElt, q: Fraction) -> CycElt:
 def _galois(a: CycElt, k: int) -> CycElt:
     n = a.modulus
     acc = [0] * n
-    convolve(acc, _UNIT, a.num, index_map(n, k))
+    convolve(acc, UNIT, a.num, index_map(n, k))
     return CycElt.from_group_ring(n, acc, a.den)
 
 
@@ -481,16 +486,31 @@ def zeta7() -> CycElt:
 @cache
 def lam() -> CycElt:
     """lambda = zeta + zeta^2 + zeta^4 = (-1 + sqrt(-7)) / 2, generator of o_K."""
-    z = zeta7()
-    return z + z.galois(2) + z.galois(4)
+    return CycElt.from_K(0, 1)
 
 
 @cache
 def lam_bar() -> CycElt:
-    return lam().conjugate()
+    """lambda_bar = -1 - lambda, the complex conjugate of lambda."""
+    return CycElt.from_K(-1, -1)
 
 
 @cache
 def alpha() -> CycElt:
-    """alpha = lambda / lambda_bar, the cyclic-algebra parameter."""
-    return lam() / lam_bar()
+    """alpha = lambda / lambda_bar = lambda^2 / 2 = (-2 - lambda) / 2, the
+    cyclic-algebra parameter."""
+    return CycElt.from_K(-2, -1, 2)
+
+
+def lambda_valuation(a: CycElt) -> int:
+    """Valuation of a nonzero element of K at the prime (lambda) above 2."""
+    if a.is_zero():
+        raise ValueError("valuation of zero")
+    # a = (p + q*lambda) / den.  Divide p + q*lambda by lambda while the
+    # quotient stays in o_K: x/lambda = x*lambda_bar/2 = (q - p/2) - (p/2)*lambda
+    p, q, den = a.K_parts()
+    v = 0
+    while p % 2 == 0:
+        p, q = q - p // 2, -(p // 2)
+        v += 1
+    return v - ((den & -den).bit_length() - 1)  # v_lambda(den) = v_2(den)

@@ -17,14 +17,6 @@ whose unit group the lattice is built from.
 Computes the order discriminant, checks invariance under the twisted
 involution, classifies torsion orders, and carries the congruence-index and
 torsion-freeness arithmetic for the principal congruence subgroup.
-
-K = Q(sqrt(-7)) is read off the power basis of L = Q(zeta_7) and needs no
-Galois map.  lambda = zeta + zeta^2 + zeta^4 is a Gauss period, so an
-element (p + q*lambda)/den of K has the numerators (p, q, q, 0, q, 0) over
-den: `K_coords` reads p/den and q/den.  The reduced trace of a product is the
-trace to K of its L-component, and zeta^t traces to 3, lambda or
-lambda_bar = -1 - lambda for t = 0, t in {1, 2, 4} and t in {3, 5, 6}
-(`CycElt.trace_to_K`), so every Gram entry lies in K by construction.
 """
 
 from __future__ import annotations
@@ -52,31 +44,14 @@ class BasisShapeError(ValueError):
 # K = Q(sqrt(-7)) coordinate helpers.  o_K = Z[lambda], lambda = (-1+sqrt(-7))/2.
 
 def K_coords(a: CycElt) -> tuple[Fraction, Fraction]:
-    """Write an element of K as p + q*lambda (basis of o_K): its numerators
-    are (p, q, q, 0, q, 0) over den, so the coordinates are p/den and q/den."""
-    if not a.in_K():
-        raise ValueError("element is not in the subfield K")
-    return Fraction(a.num[0], a.den), Fraction(a.num[1], a.den)
+    """Write an element of K as p + q*lambda (basis of o_K), in Fractions."""
+    p, q, den = a.K_parts()
+    return Fraction(p, den), Fraction(q, den)
 
 
 def is_K_integral(a: CycElt) -> bool:
     p, q = K_coords(a)
     return p.denominator == 1 and q.denominator == 1
-
-
-def lambda_valuation(a: CycElt) -> int:
-    """Valuation of a nonzero element of K at the prime (lambda) above 2."""
-    if a.is_zero():
-        raise ValueError("valuation of zero")
-    K_coords(a)  # raises unless a lies in K
-    # a = (p + q*lambda) / den.  Divide p + q*lambda by lambda while the
-    # quotient stays in o_K: x/lambda = x*lambda_bar/2 = (q - p/2) - (p/2)*lambda
-    p, q, den = a.num[0], a.num[1], a.den
-    v = 0
-    while p % 2 == 0:
-        p, q = q - p // 2, -(p // 2)
-        v += 1
-    return v - ((den & -den).bit_length() - 1)  # v_lambda(den) = v_2(den)
 
 
 class _OK:
@@ -215,8 +190,9 @@ def discriminant(basis: OrderBasis | None = None) -> dict:
     b = basis if basis is not None else OrderBasis.standard()
     rows, scale = [], 1
     for row in gram_matrix(b):
-        s = math.lcm(*(t.den for t in row))
-        rows.append([_OK(t.num[0] * (s // t.den), t.num[1] * (s // t.den)) for t in row])
+        parts = [t.K_parts() for t in row]
+        s = math.lcm(*(den for _, _, den in parts))
+        rows.append([_OK(p * (s // den), q * (s // den)) for p, q, den in parts])
         scale *= s
     det = m3.determinant(rows)
     d = CycElt.from_K(det.p, det.q, scale)

@@ -18,6 +18,16 @@ def test_ball_quotient_invariants():
     assert s.minimal
 
 
+@pytest.mark.parametrize("c2", [Fraction(3), Fraction(9), Fraction(21), Fraction(1, 7)])
+@pytest.mark.parametrize("q", [Fraction(0), Fraction(1)])
+def test_ball_quotient_invariants_follow_from_c2(c2, q):
+    s = cl.ball_quotient_invariants(c2, q, {2: 1, 3: 1})
+    assert s.c2 == c2 and s.c1_sq == 3 * c2
+    assert s.chi == s.signature == c2 / 3
+    assert s.p_g == s.chi - 1 + q
+    assert s.q_irr == q and s.plurigenera == {2: 1, 3: 1} and s.minimal
+
+
 def test_fake_plane_is_general_type():
     s = fake_plane()
     kod, trace = cl.kodaira_classify(s)

@@ -459,6 +459,29 @@ def test_the_fibers_sum_to_the_computed_euler_number(monkeypatch, off, mismatche
     assert r.exit_code() == 1
 
 
+@pytest.mark.parametrize("off, mismatched", [
+    ("gamma", {"quotient"}),
+    ("gamma_tilde", {"normalizer"}),
+])
+def test_each_kodaira_entry_classifies_its_own_resolution(monkeypatch, off, mismatched):
+    """An e(Y) of 11 gives chi = 3/4, which leaves kodaira dimensions 0 and 1
+    standing: the entry of that resolution alone is a mismatch that says so."""
+    from ballquot import singularities as sg
+    real = sg.resolve_invariants
+
+    def resolve_invariants(x):
+        e, s, blowups = real(x)
+        label = "gamma" if len(x.points) == 3 else "gamma_tilde"
+        return (Fraction(11) if off == label else e), s, blowups
+
+    monkeypatch.setattr(sg, "resolve_invariants", resolve_invariants)
+    entries = {e["id"]: e for e in rpt.run_all().entries}
+    kodaira = {key: entries[f"kodaira_resolution_{key}"] for key in ("quotient", "normalizer")}
+    assert {key for key, e in kodaira.items() if e["status"] == "mismatch"} == mismatched
+    for key in mismatched:
+        assert kodaira[key]["computed"].startswith("surviving kodaira dimensions [0, 1]")
+
+
 def _refuse_to_run(*args, **kwargs):
     raise AssertionError("the ceiling should refuse this before any work")
 

@@ -4,7 +4,7 @@ import pytest
 
 import ballquot
 from ballquot.cyclic_algebra import AlgElt, b_element
-from ballquot.cyclotomic import CycElt, euler_phi, lam, lam_bar, zeta7
+from ballquot.cyclotomic import CycElt, euler_phi, lam, lam_bar, lambda_valuation, zeta7
 from ballquot import order_arithmetic as oa
 
 
@@ -18,11 +18,11 @@ def test_K_coordinates_and_integrality():
 
 
 def test_lambda_valuation():
-    assert oa.lambda_valuation(lam()) == 1
-    assert oa.lambda_valuation(CycElt.rational(7, 2)) == 1
-    assert oa.lambda_valuation(CycElt.rational(7, 4)) == 2
-    assert oa.lambda_valuation(lam_bar()) == 0
-    assert oa.lambda_valuation(CycElt.one(7)) == 0
+    assert lambda_valuation(lam()) == 1
+    assert lambda_valuation(CycElt.rational(7, 2)) == 1
+    assert lambda_valuation(CycElt.rational(7, 4)) == 2
+    assert lambda_valuation(lam_bar()) == 0
+    assert lambda_valuation(CycElt.one(7)) == 0
 
 
 def test_standard_order_contains_its_generators():

@@ -13,7 +13,7 @@ from ballquot import matrix3 as m3
 from ballquot import order_arithmetic as oa
 from ballquot import singularities as sg
 from ballquot.cyclic_algebra import AlgElt, b_element
-from ballquot.cyclotomic import CycElt, alpha, lam, lam_bar
+from ballquot.cyclotomic import CycElt, alpha, lam, lam_bar, lambda_valuation
 from ballquot.hermitian import H_b, HermMatrix
 from ballquot.symreal import ONE, SymbolicReal
 
@@ -356,7 +356,7 @@ def test_lambda_valuation_counts_lambda_and_two_but_not_lambda_bar(a, b, c, u, w
     for factor, times in ((lam(), a), (lam_bar(), b)):
         for _ in range(times):
             x = x * factor
-    assert oa.lambda_valuation(x) == a + c
+    assert lambda_valuation(x) == a + c
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,17 @@
 """K = Q(sqrt(-7)) read off the power basis of L = Q(zeta_7): the closed
-forms of `trace_to_K`, `in_K`, `from_K` and `K_coords` against their Galois
-definitions, the order layer run without a single Galois map, and the
-numerators each algebra element keeps."""
+forms of `trace_to_K`, `in_K`, `from_K`, `K_parts`, `K_coords`, lambda,
+lambda_bar and alpha against their Galois definitions, the order layer run
+without a single Galois map, and the numerators each algebra element keeps."""
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ballquot import cyclic_algebra as ca, cyclotomic, order_arithmetic as oa
-from ballquot.cyclotomic import CycElt, alpha, lam, lam_bar
+from ballquot.cyclotomic import CycElt, alpha, lam, lam_bar, zeta7
 
 CASES = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -65,6 +65,8 @@ def test_membership_in_K_is_being_fixed_by_sigma(a):
 @given(K_elements_moved())
 def test_an_element_moved_off_the_shape_of_K_is_not_in_K(a):
     assert not a.in_K()
+    with pytest.raises(ValueError, match="not in the subfield K"):
+        a.K_parts()
     with pytest.raises(ValueError):
         oa.K_coords(a)
 
@@ -88,9 +90,25 @@ def test_from_K_is_the_canonical_element(p, q, den):
     assert a == generic and hash(a) == hash(generic)
 
 
+def test_lambda_lambda_bar_and_alpha_are_their_galois_definitions():
+    z = zeta7()
+    assert lam() == z + z.galois(2) + z.galois(4)
+    assert lam_bar() == lam().conjugate()
+    assert alpha() == lam() * lam_bar().inverse()
+
+
+@CASES
+@given(ints, ints, dens)
+def test_K_parts_reads_back_what_from_K_takes(p, q, den):
+    a = CycElt.from_K(p, q, den)
+    g = gcd(den, p, q)
+    assert a.K_parts() == (p // g, q // g, den // g)
+    assert CycElt.from_K(*a.K_parts()) == a
+
+
 def test_the_closed_forms_are_for_q_zeta7_only():
     a = CycElt.one(21)
-    for op in (a.trace_to_K, a.in_K):
+    for op in (a.trace_to_K, a.in_K, a.K_parts):
         with pytest.raises(ValueError):
             op()
 
