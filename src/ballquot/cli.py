@@ -19,7 +19,9 @@ from .config import (ConfigError, decimal_key, exact_integer, exact_rational, lo
 MAX_WEIGHT = 401
 MAX_TERMS = 10**7
 MAX_CHAIN = 10**6
-GROUPS = ("gamma", "gamma_tilde")  # `dims` builds group g with dimension.build_<g>_dataset
+# the labels of singularities.QUOTIENTS, copied so that a refused group loads no
+# layer; `dims` builds group g with dimension.build_<g>_dataset
+GROUPS = ("gamma", "gamma_tilde")
 
 
 def _cmd_volume(args) -> int:

@@ -10,17 +10,23 @@ No field inverse is taken: for w = zeta_n^e of order m,
 (1 - w) * sum_{t<m} t w^t = -m gives 1/(1 - w) in closed form, so R(0, k)
 is one product of two such elements.  The sum is tested for rationality
 first; only a sum that is not rational is conjugated, to word the error.
+
+The classes are built from each quotient's singular points
+(`singularities.QUOTIENTS`): the identity class carries the quotient's Euler
+height, and a point (n, q) gives n - 1 isolated classes of order n, the
+powers t = 1..n-1 of its rotation diag(z, z^q), z a primitive n-th root of
+unity: eigenvalues (z^t, z^(qt)) and j = z^(t(1+q)), their product.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
-from . import read_data, validated
+from . import singularities as sg
+from . import validated
 from .cyclotomic import CycElt
 
 
@@ -128,33 +134,24 @@ def dimension(dataset: ClassDataset, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# dataset fixtures
+# the class data of each quotient
 
-def _exponent(spec: list, n: int) -> int:
-    mod, e = spec
-    if mod != n:
-        raise ValueError("dataset root of unity modulus mismatch")
-    return e % n
-
-
-def _load(name: str) -> ClassDataset:
-    raw = json.loads(read_data(name))
-    n = raw["cyclotomic_modulus"]
-    classes = tuple(
-        FixedPointClass(
-            r=c["r"],
-            virtual_euler=Fraction(c["virtual_euler"]),
-            j=_exponent(c["j"], n),
-            m=c["m"],
-            normal_eigenvalues=tuple(_exponent(e, n) for e in c["normal_eigenvalues"]),
-        )
-        for c in raw["classes"])
-    return ClassDataset(raw["label"], n, classes)
+def _dataset(label: str) -> ClassDataset:
+    """The classes of the module docstring, in exponents of zeta_21: z = zeta_21^(21/n)."""
+    n = 21
+    x = sg.QUOTIENTS[label]
+    classes = [FixedPointClass(2, sg.euler_height(x), 0, 1, ())]
+    for p in x.points:
+        step = n // p.n
+        classes += (FixedPointClass(0, Fraction(1), t * (1 + p.q) * step % n, p.n,
+                                    (t * step % n, p.q * t * step % n))
+                    for t in range(1, p.n))
+    return ClassDataset(label, n, tuple(classes))
 
 
 def build_gamma_dataset() -> ClassDataset:
-    return _load("classes_gamma.json")
+    return _dataset("gamma")
 
 
 def build_gamma_tilde_dataset() -> ClassDataset:
-    return _load("classes_gamma_tilde.json")
+    return _dataset("gamma_tilde")

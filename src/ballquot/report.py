@@ -210,8 +210,7 @@ def run_all(config_path: str | None = None) -> VerificationReport:
     r.add("defect_3_2", "signature defect of a (3,2) point", Fraction(2, 9),
           sg.signature_defect(c32))
 
-    xg = sg.OrbifoldSurface(Fraction(3), Fraction(1), (c73,) * 3)
-    xgt = sg.OrbifoldSurface(Fraction(3), Fraction(1), (c73,) + (c32,) * 3)
+    xg, xgt = sg.QUOTIENTS["gamma"], sg.QUOTIENTS["gamma_tilde"]
     r.add("heights_quotient", "orbifold heights of the order-7 quotient",
           (Fraction(3, 7), Fraction(1, 7)), (sg.euler_height(xg), sg.signature_height(xg)))
     r.add("heights_normalizer_quotient", "orbifold heights of the normalizer quotient",
@@ -222,7 +221,7 @@ def run_all(config_path: str | None = None) -> VerificationReport:
           and 3 * sg.signature_height(xgt) == sg.signature_height(xg)
           and sg.check_cover_multiplicativity(Fraction(3), Fraction(1), xgt, 21))
     # keyed by group, like fibrations.json: e(Y) of each resolution is what its fibers sum to
-    resolved = {"gamma": sg.resolve_invariants(xg), "gamma_tilde": sg.resolve_invariants(xgt)}
+    resolved = {label: sg.resolve_invariants(x) for label, x in sg.QUOTIENTS.items()}
     r.add("resolution_quotient", "resolved invariants of the order-7 quotient",
           (Fraction(12), Fraction(-8), 9), resolved["gamma"])
     r.add("resolution_normalizer", "resolved invariants of the normalizer quotient",

@@ -6,6 +6,12 @@ signature defect of each point; Euler and signature heights of an orbifold
 surface then behave multiplicatively under coverings.  The branch-data
 solver inverts them: a complete search, bounded by the Euler budget, for the
 extra quotient points that meet both height targets.
+
+`QUOTIENTS` states the two quotients of Keum's fake projective plane X once:
+X/Gamma by the order-7 automorphism, with three (7,3) points, and X/Gamma~
+by the order-21 group Z/7 x| Z/3, with one (7,3) point and three (3,2)
+points.  Their heights, their resolutions and their fixed-point classes
+(`dimension`) are all read off these points.
 """
 
 from __future__ import annotations
@@ -49,6 +55,14 @@ class OrbifoldSurface(NamedTuple):
     euler: Fraction
     signature: Fraction
     points: tuple[CyclicSingularity, ...]
+
+
+# keyed by group, like fibrations.json
+QUOTIENTS = {
+    "gamma": OrbifoldSurface(Fraction(3), Fraction(1), (CyclicSingularity(7, 3),) * 3),
+    "gamma_tilde": OrbifoldSurface(Fraction(3), Fraction(1),
+                                   (CyclicSingularity(7, 3),) + (CyclicSingularity(3, 2),) * 3),
+}
 
 
 def _hj_runs(n: int, q: int):

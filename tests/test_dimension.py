@@ -1,5 +1,8 @@
+import json
 import math
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +52,25 @@ def test_elliptic_class_counts():
     assert len(gt.classes) == 13  # identity + 6 order-7 + 6 order-3 classes
     assert sum(1 for c in gt.classes if c.m == 3) == 6
     assert sum(1 for c in gt.classes if c.m == 7) == 6
+
+
+DATA = Path(__file__).resolve().parent.parent / "src" / "ballquot" / "data"
+
+
+@pytest.mark.parametrize("build, table", [
+    (dim.build_gamma_dataset, "classes_gamma.json"),
+    (dim.build_gamma_tilde_dataset, "classes_gamma_tilde.json"),
+])
+def test_the_classes_built_from_the_points_are_the_reference_table(build, table):
+    # the hand-typed table, each root of unity [21, e] read as its exponent e
+    raw = json.loads((DATA / table).read_text())
+    assert {raw["cyclotomic_modulus"]} | {mod for c in raw["classes"]
+                                          for mod, _ in [c["j"], *c["normal_eigenvalues"]]} == {21}
+    want = Counter((c["r"], Fraction(c["virtual_euler"]), c["j"][1], c["m"],
+                    tuple(e for _, e in c["normal_eigenvalues"])) for c in raw["classes"])
+    ds = build()
+    assert (ds.label, ds.cyclotomic_modulus) == (raw["label"], 21)
+    assert Counter(map(tuple, ds.classes)) == want
 
 
 def test_R_coefficient_for_the_identity():

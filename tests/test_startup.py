@@ -50,7 +50,8 @@ CLASSIFY = {"c2": 3, "q": 0, "plurigenera": {"2": 10, "3": 28}}
     (["heights", HEIGHTS], ["singularities"]),
     (["lvalue"], ["lfunctions", "symreal"]),
     (["volume"], ["lfunctions", "symreal"]),
-    (["dims", "--group", "gamma", "--weight", "3"], ["cyclotomic", "dimension", "symreal"]),
+    (["dims", "--group", "gamma", "--weight", "3"],
+     ["cyclotomic", "dimension", "singularities", "symreal"]),
     (["classify", CLASSIFY], ["classifier"]),
     (["report"], None),
 ], ids=["import", "help", "resolve", "heights", "lvalue", "volume", "dims", "classify",
@@ -78,6 +79,31 @@ def test_a_refused_group_loads_no_dimension_layer():
                    "    code = main(['dims', '--group', 'nope', '--weight', '3'])\n"
                    "print(code, sorted(m for m in sys.modules if m.startswith('ballquot.')))\n")
     assert out.splitlines()[-1] == "2 ['ballquot.cli', 'ballquot.config']"
+
+
+def test_the_cli_groups_are_the_quotients_of_singularities():
+    from ballquot import cli, singularities
+    assert cli.GROUPS == tuple(singularities.QUOTIENTS)
+
+
+@pytest.mark.parametrize("argv, opens", [
+    (["report"], ["fibrations.json"]),
+    (["dims", "--group", "gamma_tilde", "--weight", "3"], []),
+], ids=["report", "dims"])
+def test_a_cold_run_opens_no_class_table(argv, opens):
+    """The class data is built from the singular points: of the package's JSON
+    files, only the report's fibrations are read."""
+    out = run_cold("import contextlib, io, os, sys\n"
+                   "opened = []\n"
+                   "def hook(event, args):\n"
+                   "    if event == 'open' and str(args[0]).endswith('.json'):\n"
+                   "        opened.append(os.path.basename(args[0]))\n"
+                   "sys.addaudithook(hook)\n"
+                   "from ballquot.cli import main\n"
+                   "with contextlib.redirect_stdout(io.StringIO()):\n"
+                   f"    assert main({argv!r}) == 0\n"
+                   "print(opened)\n")
+    assert out.splitlines()[-1] == repr(opens)
 
 
 def test_the_order_layers_load_no_input_layer():
