@@ -97,6 +97,9 @@ def _cmd_classify(args) -> int:
         raise ConfigError(f"minimal must be true or false, got {minimal!r}")
     c2 = exact_rational(required(data, "c2", args.file), "c2")
     q = exact_rational(data.get("q", 0), "q")
+    for what, dim in [("q", q), *((f"plurigenus P_{k}", v) for k, v in plur.items())]:
+        if dim < 0:
+            raise ConfigError(f"{what} is a dimension, so it cannot be negative, got {dim}")
     if "signature" in data:
         s = cl.invariants_from_resolution(
             c2, exact_rational(data["signature"], "signature"), q, plur, minimal=minimal)

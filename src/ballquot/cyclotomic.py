@@ -18,10 +18,12 @@ x^b -> x^(k*b mod N), read from the table `index_map(N, k)` built on first
 use.  `CycElt.from_group_ring` takes such a vector to the power basis
 through a table of x^j mod Phi_N and canonicalises it.  A product is one kernel call
 with k = 1, a Galois map one call with p = 1, and the cyclic algebra over
-Q(zeta_7) builds its components with the same kernel.  Inverses are the
-product of the other Galois conjugates over the rational norm.  The sign of
-a real element is exact: `interval` encloses its value between two
-`Fraction`s, from cosine series in scaled integers and `symreal.pi_interval`.
+Q(zeta_7) builds its components with the same kernel.  An inverse is c/(a*c)
+for c the product of the other phi(N) - 1 Galois conjugates, a*c being the
+rational norm; that suffices, as a process makes one or two, each of the
+rational nrd(b) = 3.  The sign of a real element is exact: `interval`
+encloses its value between two `Fraction`s, from cosine series in scaled
+integers and `symreal.pi_interval`.
 
 N = 7 carries the core field L = Q(zeta_7) with its quadratic subfield
 K = Q(sqrt(-7)); N = 21 is used for mixed order-3/order-7 fixed point data.
@@ -117,34 +119,6 @@ def convolve(acc: list[int], p, q, sigma) -> None:
                 acc[t] += pa * qb
 
 
-@lru_cache(maxsize=None)
-def _norm_tower(n: int) -> tuple[tuple[int, int], ...]:
-    """Steps (g, m) that build (Z/n)^x from {1}: g has prime order m modulo
-    the subgroup built by the steps before it."""
-    units = [k for k in range(1, n) if gcd(k, n) == 1]
-    group = {1}
-    steps = []
-    while len(group) < len(units):
-        best = None
-        for g in units:
-            m, p = 1, g
-            while p not in group:
-                p, m = p * g % n, m + 1
-            if m > 1 and (best is None or m < best[1]):
-                best = (g, m)
-        g, m = best
-        group = {h * pow(g, i, n) % n for h in group for i in range(m)}
-        steps.append((g, m))
-    return tuple(steps)
-
-
-def _over_common_denominator(coeffs) -> tuple[list[int], int]:
-    """Integer numerators over the least positive common denominator."""
-    coeffs = [exact(c) for c in coeffs]
-    den = lcm(1, *(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
 # ---------------------------------------------------------------------------
 
 class CycElt:
@@ -153,7 +127,9 @@ class CycElt:
     __slots__ = ("modulus", "num", "den")
 
     def __init__(self, modulus: int, coeffs) -> None:
-        num, den = _over_common_denominator(coeffs)
+        coeffs = [exact(c) for c in coeffs]  # over the least common denominator
+        den = lcm(1, *(c.denominator for c in coeffs))
+        num = [c.numerator * (den // c.denominator) for c in coeffs]
         if len(num) != euler_phi(modulus):
             raise ValueError(f"Q(zeta_{modulus}) needs {euler_phi(modulus)} coefficients, "
                              f"got {len(num)}")
@@ -205,13 +181,6 @@ class CycElt:
         return f"CycElt(modulus={self.modulus}, coeffs={self.coeffs!r})"
 
     # -- constructors
-
-    @staticmethod
-    def from_poly(n: int, poly) -> "CycElt":
-        """The value of a polynomial (int or Fraction coefficients) at zeta_n:
-        x^k folds onto x^(k mod n) of Z[C_n]."""
-        num, den = _over_common_denominator(poly)
-        return CycElt.from_group_ring(n, [sum(num[j::n]) for j in range(n)], den)
 
     @staticmethod
     def from_group_ring(n: int, acc, den: int = 1) -> "CycElt":
@@ -298,12 +267,17 @@ class CycElt:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycElt":
-        """Field inverse: the product of the other Galois conjugates over the
-        rational norm."""
+        """Field inverse by the definition: c, the product of the other
+        phi(N) - 1 Galois conjugates sigma_k(a), k != 1 a unit mod N, makes
+        a*c the rational norm, so a^-1 = c / (a*c).  That suffices: a process
+        inverts once or twice, only nrd(b) = 3 behind b^-1."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        norm, cofactor = _norm_and_cofactor(self)
-        return _scale(cofactor, 1 / norm)
+        n, c = self.modulus, CycElt.one(self.modulus)
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                c = _mul(c, _galois(self, k))
+        return _scale(c, 1 / _mul(self, c).as_rational())
 
     def __truediv__(self, other: "CycElt") -> "CycElt":
         if not isinstance(other, CycElt):
@@ -359,18 +333,15 @@ class CycElt:
             raise ValueError("sign of a non-real cyclotomic number")
         if self.is_zero():
             return 0
-        prec = 64
-        while True:
+        for prec in (64 << i for i in range(11)):  # 64 up to 2^16 bits
             box = self.interval(prec)
             if box.a > 0:
                 return 1
             if box.b < 0:
                 return -1
-            prec *= 2
-            if prec > 1 << 16:
-                raise RuntimeError("sign refinement failed to separate from zero")
+        raise RuntimeError("sign refinement failed to separate from zero")
 
-    # -- traces and norms
+    # -- the subfield K
 
     def trace_to_K(self) -> "CycElt":
         """Trace a + a^sigma + a^sigma^2 from L = Q(zeta_7) to K = Q(sqrt(-7)),
@@ -437,23 +408,6 @@ def _galois(a: CycElt, k: int) -> CycElt:
     acc = [0] * n
     convolve(acc, UNIT, a.num, index_map(n, k))
     return CycElt.from_group_ring(n, acc, a.den)
-
-
-def _norm_and_cofactor(a: CycElt) -> tuple[Fraction, CycElt]:
-    """The rational norm N(a) and c = N(a)/a, the product of the other
-    Galois conjugates, built one step of `_norm_tower` at a time: y is the
-    product of the conjugates of a over the subgroup built so far, a*c = y."""
-    n = a.modulus
-    y, c = a, None
-    for g, m in _norm_tower(n):
-        p = _galois(y, g)
-        for i in range(2, m):
-            p = _mul(p, _galois(y, pow(g, i, n)))
-        c = p if c is None else _mul(c, p)
-        y = _mul(y, p)
-    if c is None:  # Q(zeta_1) = Q(zeta_2) = Q
-        c = CycElt.one(n)
-    return y.as_rational(), c
 
 
 @lru_cache(maxsize=None)

@@ -226,7 +226,7 @@ def run_all(config_path: str | None = None) -> VerificationReport:
           (Fraction(12), Fraction(-8), 9), resolved["gamma"])
     r.add("resolution_normalizer", "resolved invariants of the normalizer quotient",
           (Fraction(12), Fraction(-8), 9), resolved["gamma_tilde"])
-    sols = sg.solve_branch_data(Fraction(3), Fraction(1), [c73],
+    sols = sg.solve_branch_data(xgt.euler, xgt.signature, [c73],
                                 Fraction(1, 7), Fraction(1, 21), 12)
     r.add("branch_solver", "unique extra branch data for the normalizer quotient",
           ((3, ((3, 2),) * 3),),

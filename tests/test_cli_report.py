@@ -305,6 +305,7 @@ CLASSIFY = {"c2": 3, "q": 0, "plurigenera": {"2": 10, "3": 28}}
     {"plurigenera": {"2": "10", "3": 28}}, {"plurigenera": {"two": 10, "3": 28}},
     {"plurigenera": [10, 28]}, {"c2": 3.0}, {"c2": True}, {"q": 0.0},
     {"signature": 0.5}, {"minimal": "no"},
+    {"c2": 12, "signature": -8, "plurigenera": {"2": -3, "3": 1}}, {"q": -1},
 ])
 def test_classify_refuses_inexact_input(tmp_path, capsys, edit):
     c = tmp_path / "surf.json"

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -62,6 +63,21 @@ def test_inverse_and_division():
         CycElt.zero(7).inverse()
 
 
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 9, 12])
+def test_inverse_over_trivial_cyclic_and_noncyclic_unit_groups(n):
+    # (Z/1)^x and (Z/2)^x are trivial, (Z/4)^x and (Z/9)^x cyclic, and
+    # (Z/8)^x and (Z/12)^x not cyclic
+    d = euler_phi(n)
+    rng = random.Random(n)
+    elements = [CycElt.rational(n, 3), CycElt.zeta(n), CycElt.one(n) - CycElt.zeta(n, 2)]
+    elements += [CycElt(n, [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d)])
+                 for _ in range(20)]
+    for a in elements:
+        if not a.is_zero():
+            assert a * a.inverse() == CycElt.one(n)
+            assert a.inverse().inverse() == a
+
+
 def test_sign_and_interval():
     assert CycElt.rational(7, Fraction(2)).sign() == 1
     assert CycElt.rational(7, Fraction(-3)).sign() == -1
@@ -74,7 +90,7 @@ def test_sign_and_interval():
 # exact types at construction
 
 def test_int_polynomial_stays_exact():
-    y = CycElt.from_poly(7, [1, 2, 3])
+    y = CycElt(7, [1, 2, 3, 0, 0, 0])
     inv = y.inverse()
     assert y * inv == CycElt.one(7)
     assert all(type(c) is Fraction for c in y.coeffs + inv.coeffs)
@@ -90,7 +106,7 @@ def test_only_int_and_fraction_coefficients(bad):
     with pytest.raises(TypeError):
         CycElt(7, (bad, 0, 0, 0, 0, 0))
     with pytest.raises(TypeError):
-        CycElt.from_poly(7, [1, bad])
+        CycElt(7, (1, bad, 0, 0, 0, 0))
     with pytest.raises(TypeError):
         CycElt.rational(7, bad)
 
@@ -107,12 +123,9 @@ def test_equal_elements_from_different_paths_are_equal_and_hash_equal():
     pairs = [
         (CycElt(7, (Fraction(2, 4), 0, 0, 0, 0, 0)), half),
         (CycElt(7, (Fraction(3, 6), Fraction(0, 5), 0, 0, 0, 0)), half),
-        (CycElt.from_poly(7, [0] * 7 + [1]), CycElt.one(7)),          # x^7 = 1
-        (CycElt.from_poly(7, [1] * 7), CycElt.zero(7)),                # Phi_7 itself
-        (CycElt.from_poly(7, [0] * 6 + [1]), CycElt(7, (-1,) * 6)),   # zeta^6
-        (CycElt.from_poly(7, [Fraction(1, 3)] * 8), CycElt.rational(7, Fraction(1, 3))),  # (Phi_7 + x^7)/3
+        (CycElt.from_group_ring(7, [1] * 7), CycElt.zero(7)),                # Phi_7 itself
+        (CycElt.from_group_ring(7, [0] * 6 + [1]), CycElt(7, (-1,) * 6)),   # zeta^6
         (CycElt.zeta(21, 12), CycElt.zeta(21, -9)),
-        (CycElt.from_poly(21, [0] * 21 + [Fraction(-4, 6)]), CycElt.rational(21, Fraction(-2, 3))),
         (lam() * lam_bar() * Fraction(1, 2), CycElt.one(7)),
         (zeta7() - zeta7(), CycElt.zero(7)),
     ]
@@ -158,7 +171,7 @@ def test_from_K_is_p_plus_q_lambda_over_den():
 @pytest.mark.parametrize("n", [0, -5])
 def test_a_modulus_below_one_is_a_value_error(n):
     builders = [lambda: CycElt(n, ()), lambda: CycElt.zero(n), lambda: CycElt.one(n),
-                lambda: CycElt.zeta(n), lambda: CycElt.from_poly(n, [1, 2]),
+                lambda: CycElt.zeta(n), lambda: CycElt.from_group_ring(n, [1, 2]),
                 lambda: CycElt.from_group_ring(n, []), lambda: euler_phi(n)]
     for build in builders:
         with pytest.raises(ValueError, match="at least 1"):

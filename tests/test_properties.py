@@ -29,7 +29,7 @@ nonzero_fractions = fractions.filter(lambda q: q != 0)
 
 @st.composite
 def field_elements(draw):
-    return CycElt.from_poly(7, [draw(fractions) for _ in range(6)])
+    return CycElt(7, [draw(fractions) for _ in range(6)])
 
 
 @st.composite

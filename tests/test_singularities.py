@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -126,6 +127,15 @@ def test_branch_solver_finds_the_unique_solution():
     count, pts = sols[0]
     assert count == 3
     assert sorted((p.n, p.q) for p in pts) == [(3, 2)] * 3
+
+
+def test_the_solved_branch_data_complete_the_normalizer_quotients_points():
+    """Searched from X/Gamma~'s own Euler number and signature and its (7,3)
+    point, the unique solution is the rest of the points `QUOTIENTS` states."""
+    xgt, c73 = sg.QUOTIENTS["gamma_tilde"], sg.CyclicSingularity(7, 3)
+    (_, extra), = sg.solve_branch_data(xgt.euler, xgt.signature, [c73],
+                                       Fraction(1, 7), Fraction(1, 21), 12)
+    assert Counter(extra + (c73,)) == Counter(xgt.points)
 
 
 def test_runs_of_twos_expand_to_the_whole_chain():

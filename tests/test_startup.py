@@ -11,6 +11,7 @@ import pytest
 
 import ballquot
 from ballquot import config, report
+from ballquot.cyclotomic import CycElt
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 UNUSED = ("dataclasses", "inspect", "datetime", "importlib.resources")
@@ -104,6 +105,24 @@ def test_a_cold_run_opens_no_class_table(argv, opens):
                    f"    assert main({argv!r}) == 0\n"
                    "print(opened)\n")
     assert out.splitlines()[-1] == repr(opens)
+
+
+def test_a_cold_report_inverts_one_field_element_the_rational_3():
+    """The report's one field inverse is of nrd(b) = 3, behind b^-1: the traffic
+    for which `CycElt.inverse` is the plain product of the Galois conjugates.
+    A change that adds inverses updates this pin."""
+    out = run_cold("import contextlib, io\n"
+                   "from ballquot.cyclotomic import CycElt\n"
+                   "calls, inverse = [], CycElt.inverse\n"
+                   "def spy(a):\n"
+                   "    calls.append(a)\n"
+                   "    return inverse(a)\n"
+                   "CycElt.inverse = spy\n"
+                   "from ballquot.cli import main\n"
+                   "with contextlib.redirect_stdout(io.StringIO()):\n"
+                   "    assert main(['report']) == 0\n"
+                   "print(calls)\n")
+    assert out.splitlines()[-1] == repr([CycElt.rational(7, 3)])
 
 
 def test_the_order_layers_load_no_input_layer():
