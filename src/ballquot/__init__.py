@@ -38,8 +38,9 @@ def validated(cls):
 
 
 class Frozen:
-    """Base of an immutable record with arithmetic: `__init__` sets the fields
-    named in `_fields` once; equality, hash and repr are by field values."""
+    """Base of an immutable record with arithmetic (`CycElt`, `SymbolicReal`,
+    `AlgElt`, `OrderBasis`): `__init__` sets the fields named in `_fields`
+    once; equality, hash and repr are by field values."""
 
     __slots__ = ()
 

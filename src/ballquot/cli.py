@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from .config import (ConfigError, decimal_key, exact_integer, exact_rational, load_config,
-                     read_object, required)
+                     local_factors, read_object, required)
 
 MAX_WEIGHT = 401
 MAX_TERMS = 10**7
@@ -27,8 +27,8 @@ GROUPS = ("gamma", "gamma_tilde")
 def _cmd_volume(args) -> int:
     from . import lfunctions as lf
     chi = lf.DirichletCharacter.kronecker(-7)
-    print(lf.covolume_from_config(load_config(args.config), lf.riemann_zeta(2),
-                                  lf.dirichlet_L_value(3, chi)))
+    print(lf.covolume(lf.riemann_zeta(2), lf.dirichlet_L_value(3, chi),
+                      local_factors(load_config(args.config))))
     return 0
 
 
@@ -97,12 +97,15 @@ def _cmd_classify(args) -> int:
         raise ConfigError(f"minimal must be true or false, got {minimal!r}")
     c2 = exact_rational(required(data, "c2", args.file), "c2")
     q = exact_rational(data.get("q", 0), "q")
+    sig = exact_rational(data.get("signature", 0), "signature")
+    for what, value in [("c2", c2), ("q", q), ("signature", sig)]:
+        if value.denominator != 1:
+            raise ConfigError(f"{what} is an integer for a surface, got {value}")
     for what, dim in [("q", q), *((f"plurigenus P_{k}", v) for k, v in plur.items())]:
         if dim < 0:
             raise ConfigError(f"{what} is a dimension, so it cannot be negative, got {dim}")
     if "signature" in data:
-        s = cl.invariants_from_resolution(
-            c2, exact_rational(data["signature"], "signature"), q, plur, minimal=minimal)
+        s = cl.invariants_from_resolution(c2, sig, q, plur, minimal=minimal)
     else:
         s = cl.ball_quotient_invariants(c2, q, plur)
     kod, trace = cl.kodaira_classify(s)

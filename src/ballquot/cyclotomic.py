@@ -45,6 +45,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from math import gcd, lcm
 
+from . import Frozen
 from .symreal import Interval, exact, pi_interval
 
 
@@ -121,10 +122,11 @@ def convolve(acc: list[int], p, q, sigma) -> None:
 
 # ---------------------------------------------------------------------------
 
-class CycElt:
-    """Element of Q(zeta_N): integer numerators `num` over `den`, canonical."""
+class CycElt(Frozen):
+    """Element of Q(zeta_N): integer numerators `num` over `den`, canonical,
+    so `Frozen`'s field-wise `==` and `hash` compare the integers."""
 
-    __slots__ = ("modulus", "num", "den")
+    __slots__ = _fields = ("modulus", "num", "den")
 
     def __init__(self, modulus: int, coeffs) -> None:
         coeffs = [exact(c) for c in coeffs]  # over the least common denominator
@@ -157,25 +159,10 @@ class CycElt:
         setter(self, "num", num)
         setter(self, "den", den)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CycElt is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("CycElt is immutable")
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients in the power basis, as Fractions."""
         return tuple(Fraction(a, self.den) for a in self.num)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CycElt):
-            return NotImplemented
-        return (self.modulus == other.modulus and self.den == other.den
-                and self.num == other.num)
-
-    def __hash__(self) -> int:
-        return hash((self.modulus, self.num, self.den))
 
     def __repr__(self) -> str:
         return f"CycElt(modulus={self.modulus}, coeffs={self.coeffs!r})"

@@ -1,9 +1,10 @@
 """Exact special values of Dirichlet L-functions and the covolume formula.
 
 Bernoulli numbers and polynomials feed generalized Bernoulli numbers, which
-give closed forms for L(n, chi) at parity-matching positive integers.  The
-covolume of the principal arithmetic group is assembled symbolically; all
-powers of pi cancel and the result is an exact rational.
+give closed forms for L(n, chi) at parity-matching positive integers, zeta(n)
+being L(n, chi_0).  The covolume of the principal arithmetic group is
+assembled symbolically; all powers of pi cancel and the result is an exact
+rational.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from operator import truediv
 from typing import NamedTuple
 
 from . import validated
-from .config import local_factors
 from .symreal import SymbolicReal, NotRational
 
 
@@ -123,9 +123,6 @@ class DirichletCharacter(NamedTuple):
     def is_odd(self) -> bool:
         return self(-1) == -1
 
-    def is_trivial(self) -> bool:
-        return self.modulus == 1
-
 
 def generalized_bernoulli(n: int, chi: DirichletCharacter) -> Fraction:
     """B_{n,chi} = f^{n-1} * sum_{a=1}^{f} chi(a) B_n(a/f)."""
@@ -158,12 +155,10 @@ def _sqrt_as_symbolic(f: int) -> SymbolicReal:
 
 
 def riemann_zeta(n: int) -> SymbolicReal:
-    """zeta(n) for even n >= 2, via the Bernoulli closed form."""
+    """zeta(n) = L(n, chi_0) for even n >= 2, chi_0 the trivial character mod 1."""
     if n < 2 or n % 2:
         raise ParityMismatch("only positive even arguments have this closed form")
-    b = bernoulli_number(n)
-    coeff = Fraction((-1) ** (n // 2 + 1)) * b * Fraction(2 ** (n - 1)) / math.factorial(n)
-    return SymbolicReal.term(coeff, n, 0)
+    return dirichlet_L_value(n, DirichletCharacter(1, {}))
 
 
 def dirichlet_L_value(n: int, chi: DirichletCharacter) -> SymbolicReal:
@@ -173,8 +168,6 @@ def dirichlet_L_value(n: int, chi: DirichletCharacter) -> SymbolicReal:
     the Euler product over primes has every factor positive for n > 1, and
     for n = 1 positivity is classical for real characters.
     """
-    if chi.is_trivial():
-        return riemann_zeta(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     if (chi.is_odd() and n % 2 == 0) or (not chi.is_odd() and n % 2 == 1):
@@ -203,37 +196,16 @@ def l_series_oracle(n: int, chi: DirichletCharacter, terms: int) -> tuple[float,
 # ---------------------------------------------------------------------------
 # covolume
 
-class VolumeInput(NamedTuple):
-    D_K: int
-    D_F: int
-    field_degree: int
-    zeta_value: SymbolicReal
-    l_value: SymbolicReal
-    local_factors: dict[str, Fraction]
-
-
-def covolume(v: VolumeInput) -> Fraction:
-    """vol = 3 D_K^{5/2} D_F^{-1} (16 pi^5)^{-degree} zeta(2) L(3) prod e(v).
+def covolume(zeta_2: SymbolicReal, l_value: SymbolicReal,
+             local_factors: dict[str, Fraction]) -> Fraction:
+    """Prasad's covolume for K = Q(sqrt(-7)) over Q (D_K = 7, D_F = 1, degree 1):
+    3 * 7^(5/2) / (16 pi^5) * zeta(2) * L(3, chi_-7) * prod e(v).
 
     The pi powers must cancel exactly; a residue means the L-value or zeta
     input is inconsistent and raises NotRational.
     """
-    dk = SymbolicReal.rational(Fraction(v.D_K ** 2)) * _sqrt_as_symbolic(v.D_K)
-    acc = SymbolicReal.rational(Fraction(3, v.D_F)) * dk
-    deg = v.field_degree
-    acc = acc * SymbolicReal.term(Fraction(1, 16 ** deg), -5 * deg, 0)
-    acc = acc * v.zeta_value * v.l_value
-    e = Fraction(1)
-    for val in v.local_factors.values():
-        e *= Fraction(val)
-    acc = acc * SymbolicReal.rational(e)
-    return acc.as_rational()
-
-
-def covolume_from_config(cfg: dict, zeta_2: SymbolicReal, l_value: SymbolicReal) -> Fraction:
-    """`covolume` of the principal arithmetic group from zeta(2), L(3, chi_-7)
-    and the config's `local_factors`, checked by `config.local_factors`."""
-    return covolume(VolumeInput(7, 1, 1, zeta_2, l_value, local_factors(cfg)))
+    e = SymbolicReal.rational(math.prod(local_factors.values()))
+    return (SymbolicReal.term(Fraction(3, 16), -5, 5) * zeta_2 * l_value * e).as_rational()
 
 
 def euler_number_of_cover(covol: Fraction, index: int) -> Fraction:

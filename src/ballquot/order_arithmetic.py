@@ -259,21 +259,21 @@ def iota_b_invariance_report(basis: OrderBasis | None = None,
 
     adj = belt.adjugate()
     nrd = belt.product_x0(adj)  # nrd(b) = b b^#, with the adjugate built once
-    report = {
+    # `_iota_b_denominators` refused a b with iota(b) != b, and nrd(iota(b)) =
+    # conj(nrd(b)), so nrd(b) lies in K and in R, hence in Q.  b, adj(b) in O
+    # means b*O*adj(b) is contained in O, so conjugation by b preserves the
+    # localized order at every prime not dividing nrd(b).
+    q = nrd.as_rational()
+    nrd_primes = set(_factor_int(q.numerator)) | set(_factor_int(q.denominator))
+    return {
         "invariant": not failing,
         "failing_basis_indices": failing,
         "denominator_primes": sorted(denom_primes),
         "reduced_norm_of_b": nrd,
         "b_in_order": in_order(belt),
         "adjugate_of_b_in_order": in_order(adj),
+        "invariant_away_from": sorted(nrd_primes & denom_primes),
     }
-    # b, adj(b) in O means b*O*adj(b) is contained in O, so conjugation by b
-    # preserves the localized order at every prime not dividing nrd(b).
-    if nrd.is_rational():
-        q = nrd.as_rational()
-        nrd_primes = set(_factor_int(q.numerator)) | set(_factor_int(q.denominator))
-        report["invariant_away_from"] = sorted(nrd_primes & denom_primes)
-    return report
 
 
 # ---------------------------------------------------------------------------

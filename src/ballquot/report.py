@@ -30,7 +30,8 @@ from .cyclotomic import CycElt
 from .symreal import SymbolicReal
 # the input layer, which `config` holds so that a command can load it alone;
 # `report.ConfigError`, `report.load_config` and the rest still name it
-from .config import ConfigError, DEFAULT_CONFIG, exact_integer, exact_rational, load_config
+from .config import (ConfigError, DEFAULT_CONFIG, exact_integer, exact_rational, load_config,
+                     local_factors)
 
 
 DEVIATIONS = {
@@ -147,7 +148,7 @@ def run_all(config_path: str | None = None) -> VerificationReport:
     z2 = lf.riemann_zeta(2)
     r.add("zeta_2", "zeta value at 2", SymbolicReal.term(Fraction(1, 6), 2), z2)
 
-    vol = lf.covolume_from_config(cfg, z2, lval)
+    vol = lf.covolume(z2, lval, local_factors(cfg))
     r.add("covolume", "covolume of the principal arithmetic group", Fraction(3, 7), vol)
     idx = exact_integer(cfg["indices"]["congruence"], "indices.congruence")
     c2 = lf.euler_number_of_cover(vol, idx)

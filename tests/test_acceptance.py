@@ -27,8 +27,7 @@ def line(num: int, ok: bool, text: str) -> None:
 
 
 def test_criterion_01_covolume_and_euler_number():
-    vol = lf.covolume(lf.VolumeInput(7, 1, 1, lf.riemann_zeta(2),
-                                     lf.dirichlet_L_value(3, CHI), LOCAL))
+    vol = lf.covolume(lf.riemann_zeta(2), lf.dirichlet_L_value(3, CHI), LOCAL)
     c2 = lf.euler_number_of_cover(vol, 7)
     ok = vol == Fraction(3, 7) and c2 == 3
     line(1, ok, f"covolume = {vol}, euler number of the cover = {c2}")

@@ -306,6 +306,7 @@ CLASSIFY = {"c2": 3, "q": 0, "plurigenera": {"2": 10, "3": 28}}
     {"plurigenera": [10, 28]}, {"c2": 3.0}, {"c2": True}, {"q": 0.0},
     {"signature": 0.5}, {"minimal": "no"},
     {"c2": 12, "signature": -8, "plurigenera": {"2": -3, "3": 1}}, {"q": -1},
+    {"c2": "7/2"}, {"q": "1/2"}, {"signature": "1/2"},
 ])
 def test_classify_refuses_inexact_input(tmp_path, capsys, edit):
     c = tmp_path / "surf.json"

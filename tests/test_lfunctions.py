@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ballquot import lfunctions as lf
-from ballquot.symreal import SymbolicReal
+from ballquot.symreal import NotRational, SymbolicReal
 
 
 def test_bernoulli_numbers():
@@ -31,6 +31,19 @@ def test_generalized_bernoulli_number():
 def test_zeta_at_two():
     assert lf.riemann_zeta(2) == SymbolicReal.term(Fraction(1, 6), 2, 0)
     assert lf.riemann_zeta(4) == SymbolicReal.term(Fraction(1, 90), 4, 0)
+
+
+@pytest.mark.parametrize("n, coeff", [(6, Fraction(1, 945)), (8, Fraction(1, 9450)),
+                                      (10, Fraction(1, 93555)),
+                                      (12, Fraction(691, 638512875))])
+def test_zeta_at_even_arguments_is_the_trivial_character_l_value(n, coeff):
+    assert lf.riemann_zeta(n) == SymbolicReal.term(coeff, n, 0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_zeta_outside_the_positive_even_arguments_is_a_parity_mismatch(n):
+    with pytest.raises(lf.ParityMismatch):
+        lf.riemann_zeta(n)
 
 
 def test_l_value_closed_form():
@@ -76,16 +89,30 @@ def test_the_series_oracle_is_bit_equal_to_the_sum_term_by_term(d, n, terms):
 def test_covolume_is_exactly_rational():
     chi = lf.DirichletCharacter.kronecker(-7)
     local = {"2": Fraction(3), "7": Fraction(1)}
-    vol = lf.covolume(lf.VolumeInput(7, 1, 1, lf.riemann_zeta(2),
-                                     lf.dirichlet_L_value(3, chi), local))
+    vol = lf.covolume(lf.riemann_zeta(2), lf.dirichlet_L_value(3, chi), local)
     assert vol == Fraction(3, 7)
 
 
 def test_covolume_with_printed_constant_gives_wrong_rational():
     local = {"2": Fraction(3), "7": Fraction(1)}
     printed = SymbolicReal.term(Fraction(-7, 392), 3, 1)
-    vol = lf.covolume(lf.VolumeInput(7, 1, 1, lf.riemann_zeta(2), printed, local))
+    vol = lf.covolume(lf.riemann_zeta(2), printed, local)
     assert vol == Fraction(-147, 256)
+
+
+def test_covolume_refuses_a_zeta_value_whose_pi_power_does_not_cancel():
+    chi = lf.DirichletCharacter.kronecker(-7)
+    local = {"2": Fraction(3), "7": Fraction(1)}
+    with pytest.raises(NotRational):
+        lf.covolume(lf.riemann_zeta(4), lf.dirichlet_L_value(3, chi), local)
+
+
+def test_covolume_doubles_with_a_local_factor():
+    chi = lf.DirichletCharacter.kronecker(-7)
+    z2, l3 = lf.riemann_zeta(2), lf.dirichlet_L_value(3, chi)
+    vol = lf.covolume(z2, l3, {"2": Fraction(3), "7": Fraction(1)})
+    assert lf.covolume(z2, l3, {"2": Fraction(3), "7": Fraction(2)}) == 2 * vol
+    assert lf.covolume(z2, l3, {"2": Fraction(6), "7": Fraction(1)}) == 2 * vol
 
 
 def test_euler_number_of_cover():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import ballquot
-from ballquot.cyclic_algebra import AlgElt, b_element
+from ballquot.cyclic_algebra import AlgElt, NotIotaInvariant, b_element
 from ballquot.cyclotomic import CycElt, euler_phi, lam, lam_bar, lambda_valuation, zeta7
 from ballquot import order_arithmetic as oa
 
@@ -104,6 +104,11 @@ def test_invariance_report_factors_a_fractional_reduced_norm():
     assert rep["reduced_norm_of_b"].as_rational() == Fraction(3, 8)
     assert rep["denominator_primes"] == [3]
     assert rep["invariant_away_from"] == [3]
+
+
+def test_invariance_report_refuses_a_b_that_iota_moves():
+    with pytest.raises(NotIotaInvariant):
+        oa.iota_b_invariance_report(oa.OrderBasis.standard(), AlgElt.u())
 
 
 def test_iota_b_stable_order_is_stable():

@@ -1,5 +1,5 @@
 """The package's immutable records: NamedTuples for plain and validated data,
-slotted classes for the two with arithmetic, and the class sum of the
+slotted classes for the three with arithmetic, and the class sum of the
 dimension formula against its direct expression."""
 
 import math
@@ -22,6 +22,7 @@ ONE7 = CycElt.one(7)
 
 RECORDS = {
     "Interval": (lambda: Interval(Fraction(1), Fraction(2)), "a"),
+    "CycElt": (zeta7, "num"),
     "SymbolicReal": (lambda: PI * SQRT7, "coeff"),
     "AlgElt": (ca.b_element, "x0"),
     "FixedPointClass": (lambda: dim.build_gamma_dataset().classes[0], "r"),
@@ -29,8 +30,6 @@ RECORDS = {
     "Signature": (lambda: hm.H_b().signature(), "positives"),
     "HermMatrix": (hm.H_b, "entries"),
     "DirichletCharacter": (lambda: lf.DirichletCharacter.kronecker(-7), "values"),
-    "VolumeInput": (lambda: lf.VolumeInput(7, 1, 1, lf.riemann_zeta(2), SQRT7, {}),
-                    "local_factors"),
     "OrderBasis": (oa.OrderBasis.standard, "elements"),
     "TorsionReport": (oa.torsion_orders, "excluded"),
     "CyclicSingularity": (lambda: sg.CyclicSingularity(7, 3), "n"),
@@ -78,7 +77,8 @@ def test_equal_values_hash_equal():
     assert p == q and hash(p) == hash(q) and len({p, q}) == 1
 
 
-@pytest.mark.parametrize("x", [ca.AlgElt.one(), PI], ids=["AlgElt", "SymbolicReal"])
+@pytest.mark.parametrize("x", [ONE7, ca.AlgElt.one(), PI],
+                         ids=["CycElt", "AlgElt", "SymbolicReal"])
 def test_records_with_arithmetic_are_not_tuples(x):
     assert not isinstance(x, tuple)
     for product in (lambda: 2 * x, lambda: x * 2):
