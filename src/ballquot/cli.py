@@ -95,6 +95,8 @@ def _cmd_classify(args) -> int:
     minimal = data.get("minimal", True)
     if not isinstance(minimal, bool):
         raise ConfigError(f"minimal must be true or false, got {minimal!r}")
+    if "minimal" in data and "signature" not in data:
+        raise ConfigError("minimal describes a resolution, which needs its signature")
     c2 = exact_rational(required(data, "c2", args.file), "c2")
     q = exact_rational(data.get("q", 0), "q")
     sig = exact_rational(data.get("signature", 0), "signature")

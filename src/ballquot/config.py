@@ -20,20 +20,20 @@ class ConfigError(ValueError):
     pass
 
 
-DEFAULT_CONFIG = {
-    "local_factors": {"2": "3", "7": "1"},
-    "indices": {"congruence": 7},
-}
+DEFAULT_CONFIG = {"local_factors": {"2": "3", "7": "1"}}
 
 
 def load_config(path: str | None = None) -> dict:
-    """The default config, or the one at `path`, which must have exactly the
-    sections of `DEFAULT_CONFIG` and the same `indices` keys."""
+    """The default config, or the one at `path`, whose one section must be
+    `local_factors`, as in `DEFAULT_CONFIG`; `local_factors(cfg)` checks what
+    that section holds."""
     if path is None:
         return json.loads(json.dumps(DEFAULT_CONFIG))
     cfg = read_object(path, "config")
-    _check_keys("config", cfg, DEFAULT_CONFIG)
-    _check_keys("indices", cfg["indices"], DEFAULT_CONFIG["indices"])
+    unknown = sorted(set(cfg) - set(DEFAULT_CONFIG))
+    missing = sorted(set(DEFAULT_CONFIG) - set(cfg))
+    if unknown or missing:
+        raise ConfigError(f"config: unknown keys {unknown}, missing keys {missing}")
     return cfg
 
 
@@ -58,14 +58,6 @@ def required(data: dict, key: str, what: str):
         return data[key]
     except KeyError:
         raise ConfigError(f"{what} has no key {key!r}") from None
-
-
-def _check_keys(where: str, got, known: dict) -> None:
-    if not isinstance(got, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown, missing = sorted(set(got) - set(known)), sorted(set(known) - set(got))
-    if unknown or missing:
-        raise ConfigError(f"{where}: unknown keys {unknown}, missing keys {missing}")
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")

@@ -5,8 +5,16 @@ from pathlib import Path
 
 import pytest
 
+from ballquot import classifier as cl
+from ballquot import cyclic_algebra as ca
+from ballquot import dimension as dim
+from ballquot import hermitian
+from ballquot import lfunctions as lf
+from ballquot import order_arithmetic as oa
 from ballquot import report as rpt
+from ballquot import singularities as sg
 from ballquot.cli import main
+from ballquot.symreal import SymbolicReal
 
 
 @pytest.fixture(scope="module")
@@ -35,8 +43,9 @@ def test_report_flags_known_discrepancies(default_report):
 
 
 # sha256 of the stdout of `ballquot report --format json`.  A change that adds,
-# removes or rewords an entry updates it and records the move in CHANGES.md.
-REPORT_SHA256 = "8431f7175cfaa0a06d9814e56793796ec42f398edd91fc619d79fa2d635d1c45"
+# removes or rewords an entry, or changes the default config, which `config_hash`
+# hashes, updates it and records the move in CHANGES.md.
+REPORT_SHA256 = "714a268fda4fdbc398f55d8d47acc5105879be1286cdc68f9ea2f9c1b6bcf9b6"
 
 
 def test_the_default_report_is_byte_identical(capsys):
@@ -129,19 +138,6 @@ def test_missing_local_factors_is_a_config_error(tmp_path):
         rpt.run_all(str(p))
 
 
-@pytest.mark.parametrize("congruence", [None, "7", 7.0, True, [7]])
-def test_missing_or_non_integer_congruence_index_is_a_config_error(tmp_path, congruence):
-    cfg = rpt.load_config()
-    if congruence is None:
-        del cfg["indices"]["congruence"]
-    else:
-        cfg["indices"]["congruence"] = congruence
-    p = tmp_path / "cfg.json"
-    p.write_text(json.dumps(cfg))
-    with pytest.raises(rpt.ConfigError):
-        rpt.run_all(str(p))
-
-
 def _write_config(tmp_path, cfg) -> str:
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
@@ -151,8 +147,8 @@ def _write_config(tmp_path, cfg) -> str:
 @pytest.mark.parametrize("edit", [
     lambda cfg: {**cfg, "datasets": {"gamma": "nope.json"}},
     lambda cfg: {**cfg, "algebra": {"alpha": "garbage"}},
-    lambda cfg: {**cfg, "indices": {**cfg["indices"], "normalizer": 3}},
-    lambda cfg: {"local_factors": cfg["local_factors"]},
+    lambda cfg: {**cfg, "indices": {"congruence": 7}},
+    lambda cfg: {},
     lambda cfg: {**cfg, "indices": [7]},
     lambda cfg: [cfg],
 ])
@@ -307,6 +303,7 @@ CLASSIFY = {"c2": 3, "q": 0, "plurigenera": {"2": 10, "3": 28}}
     {"signature": 0.5}, {"minimal": "no"},
     {"c2": 12, "signature": -8, "plurigenera": {"2": -3, "3": 1}}, {"q": -1},
     {"c2": "7/2"}, {"q": "1/2"}, {"signature": "1/2"},
+    {"minimal": False}, {"minimal": True},
 ])
 def test_classify_refuses_inexact_input(tmp_path, capsys, edit):
     c = tmp_path / "surf.json"
@@ -358,56 +355,108 @@ def test_deviations_are_exactly_the_flagged_entries(default_report):
     assert set(rpt.DEVIATIONS) == flagged
 
 
-def _dimension_three_for_gamma_tilde_at_weight_three(monkeypatch):
-    from ballquot import dimension as dim
-    real, tilde = dim.dimension, dim.build_gamma_tilde_dataset()
-    monkeypatch.setattr(dim, "dimension",
-                        lambda ds, k: 3 if ds == tilde and k == 3 else real(ds, k))
+def _off(owner, name, fake):
+    """A patch that replaces owner.name by fake(real), where real is the original."""
+    def patch(monkeypatch):
+        monkeypatch.setattr(owner, name, fake(getattr(owner, name)))
+    return patch
+
+
+def _dimension_plus_one(group, weight):
+    def patch(monkeypatch):
+        real, ds = dim.dimension, getattr(dim, f"build_{group}_dataset")()
+        monkeypatch.setattr(dim, "dimension", lambda d, k: real(d, k) + 1
+                            if d == ds and k == weight else real(d, k))
+    return patch
 
 
 def _form_of_twice_b(monkeypatch):
-    from ballquot import cyclic_algebra as ca, hermitian
     monkeypatch.setattr(hermitian, "H_b", lambda: hermitian.HermMatrix.from_alg_elt(
         ca.b_element().scale(2)))
 
 
-def _discriminant_with_seven_squared(monkeypatch):
-    from ballquot import order_arithmetic as oa
-    real = oa.discriminant
-    monkeypatch.setattr(oa, "discriminant",
-                        lambda *a: {**real(*a), "factorization": {2: 6, 7: 2}})
+_discriminant_with_seven_squared = _off(
+    oa, "discriminant", lambda real: lambda *a: {**real(*a), "factorization": {2: 6, 7: 2}})
+_invariance_failing_at_three_and_five = _off(
+    oa, "iota_b_invariance_report", lambda real: lambda *a: {**real(*a),
+                                                             "denominator_primes": [3, 5]})
+_l_value_doubled = _off(
+    lf, "dirichlet_L_value", lambda real: lambda n, chi: real(n, chi) * SymbolicReal.rational(2))
+_congruence_index_eight = _off(oa, "congruence_index", lambda real: lambda q, d: 8)
+_chain_of_n_1 = _off(sg, "hj_expand", lambda real: lambda p: real(sg.CyclicSingularity(p.n, 1)))
+_dedekind_sum_plus_one = _off(sg, "dedekind_sum", lambda real: lambda q, n: real(q, n) + 1)
+_defect_plus_one = _off(sg, "signature_defect", lambda real: lambda p: real(p) + 1)
+_euler_of_resolution_plus_one = _off(
+    sg, "resolve_invariants", lambda real: lambda x: (real(x)[0] + 1, *real(x)[1:]))
+_kodaira_zero = _off(cl, "kodaira_classify", lambda real: lambda s: (0, real(s)[1]))
+_fibers_off_euler = _off(cl, "fibration_euler_check", lambda real: lambda *a: False)
+_fibers_off_components = _off(cl, "fiber_component_accounting", lambda real: lambda *a: False)
 
-
-def _invariance_failing_at_three_and_five(monkeypatch):
-    from ballquot import order_arithmetic as oa
-    real = oa.iota_b_invariance_report
-    monkeypatch.setattr(oa, "iota_b_invariance_report",
-                        lambda *a: {**real(*a), "denominator_primes": [3, 5]})
-
-
-def _l_value_doubled(monkeypatch):
-    from ballquot import lfunctions as lf
-    from ballquot.symreal import SymbolicReal
-    real = lf.dirichlet_L_value
-    monkeypatch.setattr(lf, "dirichlet_L_value",
-                        lambda n, chi: real(n, chi) * SymbolicReal.rational(2))
-
-
+# every entry of the default report: a patch of the one library call that yields
+# its computed value, and the text that value then has.  Each is a mismatch, a
+# deviation's too: it is off its expected value and off its documented deviation.
 OFF_DEVIATION = {
-    "dim_tilde_k3": (_dimension_three_for_gamma_tilde_at_weight_three, 3),
+    "bernoulli_b3_chi7": (_off(lf, "generalized_bernoulli",
+                               lambda real: lambda n, chi: 2 * real(n, chi)), "96/7"),
+    "l_value_closed_form": (_l_value_doubled, "64/2401 * pi^3 * 7^(1/2)"),
+    "l_value_printed_constant": (_l_value_doubled, "64/2401 * pi^3 * 7^(1/2)"),
+    "zeta_2": (_off(lf, "riemann_zeta",
+                    lambda real: lambda n: real(n) * SymbolicReal.rational(2)), "1/3 * pi^2"),
+    "covolume": (_off(lf, "covolume", lambda real: lambda *a: 2 * real(*a)), "6/7"),
+    "euler_number_cover": (_off(lf, "euler_number_of_cover",
+                                lambda real: lambda vol, idx: real(vol, idx) + 1), "4"),
+    "division_algebra": (_off(ca, "is_division_algebra",
+                              lambda real: lambda: (False, real()[1])), False),
+    "hb_signature": (_off(hermitian.HermMatrix, "signature",
+                          lambda real: lambda self: hermitian.Signature(2, 1, 0)),
+                     "2 positive, 1 negative"),
     "hb_determinant": (_form_of_twice_b, "24"),
+    "hc_ball_vectors": (_off(hermitian.HermMatrix, "in_ball",
+                             lambda real: lambda self, vec: True), 3),
     "order_discriminant": (_discriminant_with_seven_squared, "2^6 * 7^2"),
     "iota_b_invariance": (_invariance_failing_at_three_and_five,
                           {"denominator_primes": [3, 5], "b_in_order": True,
                            "adjugate_of_b_in_order": True}),
-    "l_value_printed_constant": (_l_value_doubled, "64/2401 * pi^3 * 7^(1/2)"),
+    "congruence_index": (_congruence_index_eight, 8),
+    "torsion_orders": (_off(oa, "torsion_orders", lambda real: lambda: real()._replace(
+        allowed_orders=frozenset({1, 2, 7}))), "{1, 2, 7}"),
+    "torsion_free": (_off(oa, "torsion_free_check", lambda real: lambda *a: False), False),
+    "hj_7_3": (_chain_of_n_1, "(-7)"),
+    "hj_3_2": (_chain_of_n_1, "(-3)"),
+    "rotation_type": (_off(sg, "singularity_type_from_rotation",
+                           lambda real: lambda n, a, b: real(n, a, b + 1)), "(7, 4)"),
+    "dedekind_s_3_7": (_dedekind_sum_plus_one, "13/14"),
+    "dedekind_s_2_3": (_dedekind_sum_plus_one, "17/18"),
+    "defect_7_3": (_defect_plus_one, "9/7"),
+    "defect_3_2": (_defect_plus_one, "11/9"),
+    # plus 3 keeps the dimension formula's classes integral
+    "heights_quotient": (_off(sg, "euler_height", lambda real: lambda x: real(x) + 3),
+                         "(24/7, 1/7)"),
+    "heights_normalizer_quotient": (_off(sg, "signature_height",
+                                         lambda real: lambda x: 2 * real(x)), "(1/7, 2/21)"),
+    "cover_multiplicativity": (_off(sg, "check_cover_multiplicativity",
+                                    lambda real: lambda *a: False), False),
+    "resolution_quotient": (_euler_of_resolution_plus_one, "(13, -8, 9)"),
+    "resolution_normalizer": (_euler_of_resolution_plus_one, "(13, -8, 9)"),
+    "branch_solver": (_off(sg, "solve_branch_data", lambda real: lambda *a: []),
+                      "0 solution(s): "),
+    "dim_gamma_k2": (_dimension_plus_one("gamma", 2), 2),
+    "dim_gamma_k3": (_dimension_plus_one("gamma", 3), 5),
+    "dim_tilde_k2": (_dimension_plus_one("gamma_tilde", 2), 2),
+    "dim_tilde_k3": (_dimension_plus_one("gamma_tilde", 3), 3),
+    "fake_plane": (_off(cl, "is_fake_projective_plane", lambda real: lambda *a: False), False),
+    "kodaira_resolution_quotient": (_kodaira_zero, 0),
+    "kodaira_resolution_normalizer": (_kodaira_zero, 0),
+    "fibration_euler_gamma": (_fibers_off_euler, False),
+    "fibration_euler_gamma_tilde": (_fibers_off_euler, False),
+    "fibration_components_gamma": (_fibers_off_components, False),
+    "fibration_components_gamma_tilde": (_fibers_off_components, False),
 }
 
 
 def _closed_form_entry(monkeypatch, shift):
     # the series the report checks the closed form against, moved by `shift`,
     # with a zero tail: the radius is the report's own exact bound
-    from ballquot import lfunctions as lf
     real = lf.l_series_oracle
     monkeypatch.setattr(lf, "l_series_oracle",
                         lambda *a: (real(*a)[0] + shift, 0.0))
@@ -436,6 +485,16 @@ def test_a_value_off_its_documented_deviation_is_a_mismatch(monkeypatch, entry_i
     assert r.exit_code() == 1
 
 
+def test_every_entry_has_a_row_off_its_value(default_report):
+    assert sorted(OFF_DEVIATION) == sorted(e["id"] for e in default_report.entries)
+
+
+def test_the_cover_degree_is_the_congruence_index(monkeypatch):
+    _congruence_index_eight(monkeypatch)
+    r = rpt.run_all()
+    assert {e["id"] for e in r.mismatches()} == {"congruence_index", "euler_number_cover"}
+
+
 @pytest.mark.parametrize("off, mismatched", [
     ("both", {"gamma", "gamma_tilde"}),
     ("gamma", {"gamma"}),
@@ -445,7 +504,6 @@ def test_the_fibers_sum_to_the_computed_euler_number(monkeypatch, off, mismatche
     """Each fibration is checked against e(Y) of its own resolved quotient:
     the order-7 quotient (three (7,3) points) for gamma, the normalizer
     quotient for gamma_tilde.  An e(Y) of 11 there is a mismatch."""
-    from ballquot import singularities as sg
     real = sg.resolve_invariants
 
     def resolve_invariants(x):
@@ -468,7 +526,6 @@ def test_the_fibers_sum_to_the_computed_euler_number(monkeypatch, off, mismatche
 def test_each_kodaira_entry_classifies_its_own_resolution(monkeypatch, off, mismatched):
     """An e(Y) of 11 gives chi = 3/4, which leaves kodaira dimensions 0 and 1
     standing: the entry of that resolution alone is a mismatch that says so."""
-    from ballquot import singularities as sg
     real = sg.resolve_invariants
 
     def resolve_invariants(x):
@@ -493,7 +550,6 @@ def _refuse_to_run(*args, **kwargs):
     (["lvalue", "--numeric", "--terms", "10000001"], "l_series_oracle"),
 ])
 def test_lvalue_refuses_work_above_its_ceilings(monkeypatch, capsys, argv, patched):
-    from ballquot import lfunctions as lf
     monkeypatch.setattr(lf, patched, _refuse_to_run)
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -502,7 +558,6 @@ def test_lvalue_refuses_work_above_its_ceilings(monkeypatch, capsys, argv, patch
 
 @pytest.mark.parametrize("n", [100000007, 1000002])
 def test_resolve_refuses_a_chain_above_its_ceiling(monkeypatch, capsys, n):
-    from ballquot import singularities as sg
     monkeypatch.setattr(sg, "hj_expand", _refuse_to_run)
     assert main(["resolve", str(n), str(n - 1)]) == 2
     captured = capsys.readouterr()

@@ -132,7 +132,7 @@ def test_the_order_layers_load_no_input_layer():
     assert "ballquot.config" not in out and "ballquot.order_arithmetic" in out
 
 
-BAD_FACTOR = {"local_factors": {"2": 3.5, "7": "1"}, "indices": {"congruence": 7}}
+BAD_FACTOR = {"local_factors": {"2": 3.5, "7": "1"}}
 
 
 @pytest.mark.parametrize("argv", [
