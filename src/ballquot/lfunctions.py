@@ -1,10 +1,12 @@
 """Exact special values of Dirichlet L-functions and the covolume formula.
 
-Bernoulli numbers and polynomials feed generalized Bernoulli numbers, which
-give closed forms for L(n, chi) at parity-matching positive integers, zeta(n)
-being L(n, chi_0).  The covolume of the principal arithmetic group is
-assembled symbolically; all powers of pi cancel and the result is an exact
-rational.
+A real character chi_d takes its values from the Kronecker symbol (d|n),
+whose odd prime factors come from Euler's criterion.  The generalized
+Bernoulli number B_{n,chi} is one sum over Bernoulli numbers and powers of
+the residues, and gives closed forms for L(n, chi) at parity-matching
+positive integers, zeta(n) being L(n, chi_0).  The covolume of the
+principal arithmetic group is assembled symbolically; all powers of pi
+cancel and the result is an exact rational.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from itertools import chain, repeat
 from operator import truediv
 from typing import NamedTuple
 
-from . import validated
+from . import factor_int, validated
 from .symreal import SymbolicReal, NotRational
 
 
@@ -25,7 +27,7 @@ class ParityMismatch(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Bernoulli numbers and polynomials
+# Bernoulli numbers
 
 @lru_cache(maxsize=None)
 def bernoulli_number(n: int) -> Fraction:
@@ -41,57 +43,25 @@ def bernoulli_number(n: int) -> Fraction:
     return -acc / (n + 1)
 
 
-def bernoulli_polynomial(n: int) -> list[Fraction]:
-    """Coefficients of B_n(x), constant term first."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    coeffs = [Fraction(0)] * (n + 1)
-    for k in range(n + 1):
-        coeffs[n - k] = math.comb(n, k) * bernoulli_number(k)
-    return coeffs
-
-
-def _poly_eval(coeffs: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # real Dirichlet characters
 
-def kronecker_symbol(a: int, n: int) -> int:
-    """The Kronecker symbol (a|n)."""
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    sign = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            sign = -sign
-    # factor out twos of n
-    t = 0
-    while n % 2 == 0:
-        n //= 2
-        t += 1
-    if t:
-        if a % 2 == 0:
-            return 0
-        if t % 2 and a % 8 in (3, 5):
-            sign = -sign
-    a %= n
-    # Jacobi symbol (a|n) for odd n > 0
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                sign = -sign
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            sign = -sign
-        a %= n
-    return sign if n == 1 else 0
+def kronecker_symbol(d: int, n: int) -> int:
+    """The Kronecker symbol (d|n) for n >= 1, the product of (d|p)^e over the
+    prime powers p^e of n: (d|2) is 0, 1, 0, -1, 0, -1, 0, 1 as d mod 8 runs
+    from 0 to 7, and for an odd prime p Euler's criterion gives (d|p) as
+    d^((p-1)/2) mod p, which is 0, 1 or p - 1."""
+    if n < 1:  # factor_int(0) is {}, which would make (d|0) the empty product 1
+        raise ValueError("n must be >= 1")
+    acc = 1
+    for p, e in factor_int(n).items():
+        if p == 2:
+            s = (0, 1, 0, -1, 0, -1, 0, 1)[d % 8]
+        else:
+            r = pow(d, (p - 1) // 2, p)
+            s = -1 if r == p - 1 else r
+        acc *= s ** e
+    return acc
 
 
 @validated
@@ -125,32 +95,26 @@ class DirichletCharacter(NamedTuple):
 
 
 def generalized_bernoulli(n: int, chi: DirichletCharacter) -> Fraction:
-    """B_{n,chi} = f^{n-1} * sum_{a=1}^{f} chi(a) B_n(a/f)."""
+    """B_{n,chi} = f^{n-1} * sum_{a=1}^{f} chi(a) B_n(a/f), which with
+    B_n(x) = sum_{k=0}^{n} C(n,k) B_k x^{n-k} is the one sum
+    sum_{k=0}^{n} C(n,k) B_k f^{k-1} sum_{a=1}^{f} chi(a) a^{n-k}."""
     if n < 1:
         raise ValueError("n must be >= 1")
     f = chi.modulus
-    poly = bernoulli_polynomial(n)
-    acc = Fraction(0)
-    for a in range(1, f + 1):
-        c = chi(a)
-        if c:
-            acc += c * _poly_eval(poly, Fraction(a, f))
-    return Fraction(f) ** (n - 1) * acc
+    return sum(math.comb(n, k) * bernoulli_number(k) * Fraction(f) ** (k - 1)
+               * sum(chi(a) * a ** (n - k) for a in range(1, f + 1))
+               for k in range(n + 1))
 
 
 # ---------------------------------------------------------------------------
 # special values
 
 def _sqrt_as_symbolic(f: int) -> SymbolicReal:
-    """sqrt(f) as a SymbolicReal; supports perfect squares and 7*square."""
-    r = math.isqrt(f)
-    if r * r == f:
-        return SymbolicReal.rational(Fraction(r))
-    if f % 7 == 0:
-        g = f // 7
-        r = math.isqrt(g)
-        if r * r == g:
-            return SymbolicReal.term(Fraction(r), 0, 1)
+    """sqrt(f) as a SymbolicReal, for f = r^2 or f = 7 r^2."""
+    for root in (0, 1):
+        r = math.isqrt(f // 7 ** root)
+        if r * r * 7 ** root == f:
+            return SymbolicReal.term(r, 0, root)
     raise ValueError(f"sqrt({f}) is outside the symbolic coefficient ring")
 
 

@@ -28,10 +28,10 @@ from . import dimension as dim
 from . import classifier as cl
 from .cyclotomic import CycElt
 from .symreal import SymbolicReal
-# the input layer, which `config` holds so that a command can load it alone;
-# `report.ConfigError`, `report.load_config` and the rest still name it
-from .config import (ConfigError, DEFAULT_CONFIG, exact_integer, exact_rational, load_config,
-                     local_factors)
+# from the input layer, which `config` holds so that a command can load it alone,
+# what `run_all` calls; DEFAULT_CONFIG too, which bench/run.py's start-up probe
+# reads as `ballquot.report.DEFAULT_CONFIG`
+from .config import DEFAULT_CONFIG, load_config, local_factors
 
 
 DEVIATIONS = {
@@ -124,6 +124,15 @@ class VerificationReport:
 def run_all(config_path: str | None = None) -> VerificationReport:
     cfg = load_config(config_path)
     r = VerificationReport()
+
+    def or_error(check, *args):
+        """check(*args), or the text of the typed error by which it refuses its
+        input: a moved input then shows as that entry's mismatch instead of
+        stopping the report."""
+        try:
+            return check(*args)
+        except (dim.NotAnInteger, cl.Ambiguous) as e:
+            return str(e)
 
     # number-theoretic pipeline
     chi7 = lf.DirichletCharacter.kronecker(-7)
@@ -237,11 +246,14 @@ def run_all(config_path: str | None = None) -> VerificationReport:
 
     # dimension formula
     g, gt = dim.build_gamma_dataset(), dim.build_gamma_tilde_dataset()
-    r.add("dim_gamma_k2", "weight-2 dimension for the congruence group", 1, dim.dimension(g, 2))
-    r.add("dim_gamma_k3", "weight-3 dimension for the congruence group", 4, dim.dimension(g, 3))
-    r.add("dim_tilde_k2", "weight-2 dimension for the normalizer group", 1, dim.dimension(gt, 2))
+    r.add("dim_gamma_k2", "weight-2 dimension for the congruence group", 1,
+          or_error(dim.dimension, g, 2))
+    r.add("dim_gamma_k3", "weight-3 dimension for the congruence group", 4,
+          or_error(dim.dimension, g, 3))
+    r.add("dim_tilde_k2", "weight-2 dimension for the normalizer group", 1,
+          or_error(dim.dimension, gt, 2))
     r.add("dim_tilde_k3", "weight-3 dimension for the normalizer group", 1,
-          dim.dimension(gt, 3),
+          or_error(dim.dimension, gt, 3),
           note="the class sum gives 2 under every normalization matching the "
                "other three dimension targets; the printed value 1 is "
                "unreachable (see the ledger analysis), so the computed value "
@@ -258,10 +270,7 @@ def run_all(config_path: str | None = None) -> VerificationReport:
     def kodaira_of_resolution(label: str) -> int | str:
         y = cl.invariants_from_resolution(*resolved[label][:2], Fraction(0),
                                           {2: 1, 3: 1}, minimal=True)
-        try:
-            return cl.kodaira_classify(y)[0]
-        except cl.Ambiguous as e:
-            return str(e)
+        return or_error(lambda: cl.kodaira_classify(y)[0])
 
     r.add("kodaira_resolution_quotient", "Kodaira dimension of the resolved quotient",
           1, kodaira_of_resolution("gamma"))

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from ballquot import classifier as cl
+from ballquot import config
 from ballquot import cyclic_algebra as ca
 from ballquot import dimension as dim
 from ballquot import hermitian
@@ -134,7 +135,7 @@ def test_missing_local_factors_is_a_config_error(tmp_path):
     del cfg["local_factors"]
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
-    with pytest.raises(rpt.ConfigError):
+    with pytest.raises(config.ConfigError):
         rpt.run_all(str(p))
 
 
@@ -154,7 +155,7 @@ def _write_config(tmp_path, cfg) -> str:
 ])
 def test_unknown_missing_or_malformed_config_section_is_a_config_error(tmp_path, capsys, edit):
     path = _write_config(tmp_path, edit(rpt.load_config()))
-    with pytest.raises(rpt.ConfigError):
+    with pytest.raises(config.ConfigError):
         rpt.load_config(path)
     assert main(["volume", "--config", path]) == 2
     assert "config error" in capsys.readouterr().err
@@ -260,21 +261,21 @@ def test_local_factors_at_other_primes_are_read(tmp_path, capsys):
                                           ("3", Fraction(3)), ("-1/7", Fraction(-1, 7)),
                                           ("6/4", Fraction(3, 2))])
 def test_exact_rational_reads_integers_and_fraction_strings(value, exact):
-    assert rpt.exact_rational(value, "x") == exact
+    assert config.exact_rational(value, "x") == exact
 
 
 @pytest.mark.parametrize("value", [0.1, 3.0, True, False, None, [3], {"3": 1}, "1.5",
                                    "1e3", "1/0", "", " 3", "three", "1" * 5000])
 def test_exact_rational_refuses_everything_else(value):
-    with pytest.raises(rpt.ConfigError):
-        rpt.exact_rational(value, "x")
+    with pytest.raises(config.ConfigError):
+        config.exact_rational(value, "x")
 
 
 @pytest.mark.parametrize("value", [7.0, True, "7", None])
 def test_exact_integer_refuses_everything_but_json_integers(value):
-    assert rpt.exact_integer(7, "x") == 7
-    with pytest.raises(rpt.ConfigError):
-        rpt.exact_integer(value, "x")
+    assert config.exact_integer(7, "x") == 7
+    with pytest.raises(config.ConfigError):
+        config.exact_integer(value, "x")
 
 
 HEIGHTS = {"euler": "3", "signature": 1, "points": [[7, 3], [7, 3], [7, 3]]}
@@ -429,9 +430,8 @@ OFF_DEVIATION = {
     "dedekind_s_2_3": (_dedekind_sum_plus_one, "17/18"),
     "defect_7_3": (_defect_plus_one, "9/7"),
     "defect_3_2": (_defect_plus_one, "11/9"),
-    # plus 3 keeps the dimension formula's classes integral
-    "heights_quotient": (_off(sg, "euler_height", lambda real: lambda x: real(x) + 3),
-                         "(24/7, 1/7)"),
+    "heights_quotient": (_off(sg, "euler_height", lambda real: lambda x: 2 * real(x)),
+                         "(6/7, 1/7)"),
     "heights_normalizer_quotient": (_off(sg, "signature_height",
                                          lambda real: lambda x: 2 * real(x)), "(1/7, 2/21)"),
     "cover_multiplicativity": (_off(sg, "check_cover_multiplicativity",
@@ -487,6 +487,23 @@ def test_a_value_off_its_documented_deviation_is_a_mismatch(monkeypatch, entry_i
 
 def test_every_entry_has_a_row_off_its_value(default_report):
     assert sorted(OFF_DEVIATION) == sorted(e["id"] for e in default_report.entries)
+
+
+def test_a_moved_euler_height_is_reported_not_raised(monkeypatch, capsys):
+    """Twice the Euler height makes three of the dimension formula's class
+    sums non-integral: each such dim_* entry shows that error as its computed
+    value, and the report still has every entry."""
+    OFF_DEVIATION["heights_quotient"][0](monkeypatch)
+    r = rpt.run_all()
+    assert {e["id"] for e in r.mismatches()} == {
+        "heights_quotient", "heights_normalizer_quotient", "cover_multiplicativity",
+        "branch_solver", "dim_gamma_k2", "dim_gamma_k3", "dim_tilde_k2", "dim_tilde_k3"}
+    assert {e["id"]: e["computed"] for e in r.entries if e["id"].startswith("dim_")} == {
+        "dim_gamma_k2": "class sum 17/7 is not a nonnegative integer", "dim_gamma_k3": 8,
+        "dim_tilde_k2": "class sum 31/21 is not a nonnegative integer",
+        "dim_tilde_k3": "class sum 10/3 is not a nonnegative integer"}
+    assert main(["report"]) == 1
+    assert len(json.loads(capsys.readouterr().out)["report"]["entries"]) == 39
 
 
 def test_the_cover_degree_is_the_congruence_index(monkeypatch):

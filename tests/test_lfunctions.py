@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
+from sympy.functions.combinatorial.numbers import kronecker_symbol as sympy_kronecker
 
 from ballquot import lfunctions as lf
 from ballquot.symreal import NotRational, SymbolicReal
@@ -19,6 +21,29 @@ def test_kronecker_symbol_is_the_quadratic_character_mod_seven():
     assert chi.modulus == 7
     assert [chi(m) for m in range(7)] == [0, 1, 1, -1, 1, -1, -1]
     assert chi.is_odd()
+
+
+def test_kronecker_symbol_agrees_with_sympy():
+    assert all(lf.kronecker_symbol(d, n) == sympy_kronecker(d, n)
+               for d in range(-200, 201) for n in range(1, 301))
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_kronecker_symbol_refuses_n_below_one(n):
+    with pytest.raises(ValueError):
+        lf.kronecker_symbol(-7, n)
+
+
+@pytest.mark.parametrize("d", [-3, -4, -7, -8, 5, 8, 12, -20, None])
+def test_generalized_bernoulli_agrees_with_the_sympy_sum_over_residues(d):
+    # None is the trivial character mod 1, whose B_{n,chi} is B_n(1)
+    chi = lf.DirichletCharacter(1, {}) if d is None else lf.DirichletCharacter.kronecker(d)
+    f = chi.modulus
+    for n in range(1, 13):
+        want = sympy.Integer(f) ** (n - 1) * sum(
+            chi(a) * sympy.bernoulli(n, sympy.Rational(a, f)) for a in range(1, f + 1))
+        got = lf.generalized_bernoulli(n, chi)
+        assert type(got) is Fraction and (got.numerator, got.denominator) == (want.p, want.q)
 
 
 def test_generalized_bernoulli_number():

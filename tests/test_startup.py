@@ -167,11 +167,8 @@ def test_a_missing_required_key_is_a_config_error_that_names_it(tmp_path, comman
 
 
 def test_the_report_names_the_input_layer_of_config():
-    assert report.ConfigError is config.ConfigError
     assert report.DEFAULT_CONFIG is config.DEFAULT_CONFIG
     assert report.load_config is config.load_config
-    assert report.exact_rational is config.exact_rational
-    assert report.exact_integer is config.exact_integer
 
 
 def test_a_cold_run_loads_no_module_it_does_not_execute():
