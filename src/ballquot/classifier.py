@@ -9,6 +9,7 @@ audited.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -121,27 +122,22 @@ class KodairaFiber(NamedTuple):
         return int(self.kind[2:])
 
 
-def fibration_euler_check(fibers: list[KodairaFiber], expected_c2: Fraction) -> bool:
-    return sum(f.euler() for f in fibers) == Fraction(expected_c2)
+def fibration_euler_check(fibers: list[KodairaFiber], c2: Fraction) -> bool:
+    return sum(f.euler() for f in fibers) == Fraction(c2)
 
 
 def fiber_component_accounting(fibers: list[KodairaFiber],
-                               exceptional_minus2: list[str],
-                               exceptional_minus3: list[str]) -> bool:
-    """Every (-2)-curve of the resolution sits in exactly one fiber, no
-    (-3)-curve sits in any fiber, and singular fiber component counts match
-    the fiber types."""
-    placed: dict[str, int] = {}
+                               chains: list[tuple[int, ...]]) -> bool:
+    """The E_-named fiber components are the (-2)-curves of the chains, each in
+    exactly one fiber, with E_i_j curve j of the chain of point i (from 1), and
+    each I_n fiber lists n components.  For kodaira dimension 1, K_Y is
+    numerically a positive multiple of the fiber, and a chain curve E has
+    K_Y.E = -2 - E^2: it lies in a fiber exactly when it is a (-2)-curve."""
+    placed: Counter[str] = Counter()
     for f in fibers:
-        for comp in f.components:
-            placed[comp] = placed.get(comp, 0) + 1
+        placed.update(c for c in f.components if c.startswith("E_"))
         if f.kind.startswith("I_") and f.components:
             if len(f.components) != f.euler():
                 return False
-    for c in exceptional_minus2:
-        if placed.get(c, 0) != 1:
-            return False
-    for c in exceptional_minus3:
-        if c in placed:
-            return False
-    return True
+    return placed == Counter(f"E_{i}_{j}" for i, chain in enumerate(chains, 1)
+                             for j, b in enumerate(chain, 1) if b == -2)

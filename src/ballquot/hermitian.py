@@ -55,12 +55,11 @@ class HermMatrix(NamedTuple):
         return Signature(pos, neg, zeros)
 
     def evaluate(self, vec: tuple[CycElt, CycElt, CycElt]) -> CycElt:
-        """The (real) value v* H v."""
-        a = self.entries
+        """The (real) value v* H v, as the sum of conj(v_i) (H v)_i."""
         total = CycElt.zero(7)
-        for i in range(3):
-            for j in range(3):
-                total = total + vec[i].conjugate() * a[i][j] * vec[j]
+        for v_i, row in zip(vec, self.entries):
+            hv_i = row[0] * vec[0] + row[1] * vec[1] + row[2] * vec[2]
+            total = total + v_i.conjugate() * hv_i
         return total
 
     def in_ball(self, vec: tuple[CycElt, CycElt, CycElt]) -> bool:

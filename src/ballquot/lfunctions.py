@@ -36,10 +36,13 @@ def bernoulli_number(n: int) -> Fraction:
         raise ValueError("n must be >= 0")
     if n == 0:
         return Fraction(1)
-    # sum_{k=0}^{n} C(n+1,k) B_k = 0 for n >= 1
+    if n > 1 and n % 2:
+        return Fraction(0)
+    # sum_{k=0}^{n} C(n+1,k) B_k = 0 for n >= 1, where B_k = 0 for odd k >= 3
     acc = Fraction(0)
     for k in range(n):
-        acc += math.comb(n + 1, k) * bernoulli_number(k)
+        if k < 2 or k % 2 == 0:
+            acc += math.comb(n + 1, k) * bernoulli_number(k)
     return -acc / (n + 1)
 
 

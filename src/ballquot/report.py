@@ -283,9 +283,9 @@ def run_all(config_path: str | None = None) -> VerificationReport:
                   for f in data["fibers"]]
         r.add(f"fibration_euler_{label}", f"fiber Euler numbers sum to the Euler number ({label})",
               True, cl.fibration_euler_check(fibers, resolved[label][0]))
+        chains = [sg.hj_expand(p).self_intersections for p in sg.QUOTIENTS[label].points]
         r.add(f"fibration_components_{label}", f"fiber component accounting ({label})",
-              True, cl.fiber_component_accounting(
-                  fibers, data["exceptional_minus2"], data["exceptional_minus3"]))
+              True, cl.fiber_component_accounting(fibers, chains))
 
     import hashlib  # only the report hashes: no other subcommand loads OpenSSL
 

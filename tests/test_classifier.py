@@ -76,10 +76,23 @@ def test_fibration_euler_check():
 
 
 def test_fiber_component_accounting():
-    fibers = [cl.KodairaFiber("I_3", 1, ("a1", "a2", "d0"))]
-    assert cl.fiber_component_accounting(fibers, ["a1", "a2"], ["b1"])
-    # a (-2)-curve appearing in two fibers is rejected
-    twice = fibers + [cl.KodairaFiber("I_3", 1, ("a1", "x", "y"))]
-    assert not cl.fiber_component_accounting(twice, ["a1", "a2", "x", "y"], [])
+    # one point with chain (-3, -2, -2): E_1_1 is a (-3)-curve, E_1_2 and E_1_3
+    # are (-2)-curves
+    chains = [(-3, -2, -2)]
+    fibers = [cl.KodairaFiber("I_3", 1, ("E_1_2", "E_1_3", "D_0"))]
+    assert cl.fiber_component_accounting(fibers, chains)
+    # a (-2)-curve in two fibers is rejected
+    twice = fibers + [cl.KodairaFiber("I_3", 1, ("E_1_2", "x", "y"))]
+    assert not cl.fiber_component_accounting(twice, chains)
+    # a (-2)-curve in no fiber is rejected
+    missing = [cl.KodairaFiber("I_2", 1, ("E_1_2", "D_0"))]
+    assert not cl.fiber_component_accounting(missing, chains)
     # a (-3)-curve inside a fiber is rejected
-    assert not cl.fiber_component_accounting(fibers, ["a1", "a2"], ["d0"])
+    minus3 = [cl.KodairaFiber("I_4", 1, ("E_1_1", "E_1_2", "E_1_3", "D_0"))]
+    assert not cl.fiber_component_accounting(minus3, chains)
+    # an E_ name that no chain has is rejected
+    unknown = fibers + [cl.KodairaFiber("I_1", 1, ("E_2_1",))]
+    assert not cl.fiber_component_accounting(unknown, chains)
+    # an I_n fiber with other than n components is rejected
+    assert not cl.fiber_component_accounting(
+        [cl.KodairaFiber("I_2", 1, ("E_1_2", "E_1_3", "D_0"))], chains)

@@ -512,6 +512,15 @@ def test_the_cover_degree_is_the_congruence_index(monkeypatch):
     assert {e["id"] for e in r.mismatches()} == {"congruence_index", "euler_number_cover"}
 
 
+def test_the_fiber_components_are_read_off_the_chains(monkeypatch):
+    """Chains of (n,1) points have no (-2)-curve, so no fiber component of
+    either fibration is an exceptional curve any more."""
+    _chain_of_n_1(monkeypatch)
+    r = rpt.run_all()
+    assert {e["id"] for e in r.mismatches()} == {
+        "hj_7_3", "hj_3_2", "fibration_components_gamma", "fibration_components_gamma_tilde"}
+
+
 @pytest.mark.parametrize("off, mismatched", [
     ("both", {"gamma", "gamma_tilde"}),
     ("gamma", {"gamma"}),

@@ -14,6 +14,8 @@ def test_bernoulli_numbers():
     assert vals == [1, Fraction(-1, 2), Fraction(1, 6), 0,
                     Fraction(-1, 30), 0, Fraction(1, 42)]
     assert lf.bernoulli_number(12) == Fraction(-691, 2730)
+    # sympy's B_1 is +1/2, so B_1 = -1/2 is checked above alone
+    assert all(lf.bernoulli_number(n) == sympy.bernoulli(n) for n in range(2, 201))
 
 
 def test_kronecker_symbol_is_the_quadratic_character_mod_seven():
