@@ -4,12 +4,18 @@ The dimension of the weight-k space is a finite sum over fixed-point
 conjugacy classes.  Each class contributes its virtual Euler number times
 j^k, divided by the class order and r+1, times a power-series coefficient
 R(r, k).  Order-7 and order-3 rotation data mix exactly in Q(zeta_21).
-Roots of unity are kept as exponents of zeta_21: j^k is one lookup, and
-R(0, k), the same at every k, is computed once per pair of eigenvalues.
-No field inverse is taken: for w = zeta_n^e of order m,
-(1 - w) * sum_{t<m} t w^t = -m gives 1/(1 - w) in closed form, so R(0, k)
-is one product of two such elements.  The sum is tested for rationality
-first; only a sum that is not rational is conjugated, to word the error.
+Roots of unity are kept as exponents of zeta_21, and the weight k enters
+only as the identity class's R(2, k) = C(3k-1, 2) and each isolated class's
+j^k: R(0, k) is the same at every k.  So the weight-free part is built once
+per dataset, the identity classes' total weight and, for each distinct j,
+the integer vector of the weighted R(0) of the classes with that j, all
+over one denominator (6 groups for X/Gamma, 7 for X/Gamma~, whose six
+order-3 classes all have j = 1); each weight then costs one shift by jk
+and one add per group.  No field inverse is taken: for w = zeta_n^e of
+order m, (1 - w) * sum_{t<m} t w^t = -m gives 1/(1 - w) in closed form,
+so R(0, k) is one product of two such elements.  The sum is tested for
+rationality first; only a sum that is not rational is conjugated, to word
+the error.
 
 The classes are built from each quotient's singular points
 (`singularities.QUOTIENTS`): the identity class carries the quotient's Euler
@@ -22,7 +28,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 from . import singularities as sg
@@ -96,12 +102,43 @@ def _isolated_coefficient(n: int, a: int, b: int) -> CycElt:
     return _inverse_of_one_minus(n, a) * _inverse_of_one_minus(n, b)
 
 
+def _identity_coefficient(k: int) -> int:
+    """R(2, k) = C(3k-1, 2), the coefficient of z^2 in (1-z)^{3k-1}: an integer."""
+    return math.comb(3 * k - 1, 2)
+
+
 def R_coefficient(r: int, k: int, n: int, normal_eigenvalues: tuple[int, ...] = ()) -> CycElt:
     """Coefficient of z^r in (1-z)^{3k-1} * prod 1/(1 - nu_i + nu_i z), nu_i =
     zeta_n^e_i; for r = 0 it is prod 1/(1 - nu_i), the same at every k."""
     if r == 2:
-        return CycElt.rational(n, math.comb(3 * k - 1, 2))
+        return CycElt.rational(n, _identity_coefficient(k))
     return _isolated_coefficient(n, *normal_eigenvalues)
+
+
+@lru_cache(maxsize=16)
+def _weight_free_sum(dataset: ClassDataset) -> tuple[int, int, tuple[tuple[int, tuple], ...]]:
+    """The class sum with the weight taken out, over one denominator den:
+    (den, the identity classes' total weight e/(3m) times den, and for each
+    distinct j the n integers of Z[C_n] of den * sum w R(0) over the
+    isolated classes with that j, w = e/m, written twice over)."""
+    n = dataset.cyclotomic_modulus
+    # w R(0) = wn * R.num / wd; R(0) is the same at every k, so any weight in scope reads it
+    terms = []
+    for c in dataset.classes:
+        R = None if c.r == 2 else R_coefficient(0, 2, n, c.normal_eigenvalues)
+        wd = c.virtual_euler.denominator * c.m * (c.r + 1) * (1 if R is None else R.den)
+        terms.append((c.j, c.virtual_euler.numerator, wd, R))
+    den = math.lcm(*(wd for _, _, wd, _ in terms))
+    identity, groups = 0, {}
+    for j, wn, wd, R in terms:
+        scale = wn * (den // wd)
+        if R is None:
+            identity += scale
+            continue
+        acc = groups.setdefault(j, [0] * n)
+        for i, a in enumerate(R.num):
+            acc[i] += scale * a
+    return den, identity, tuple((j, tuple(acc) * 2) for j, acc in groups.items())
 
 
 def dimension(dataset: ClassDataset, k: int) -> int:
@@ -110,27 +147,19 @@ def dimension(dataset: ClassDataset, k: int) -> int:
     if k < 2:
         raise ValueError("weights below 2 are out of scope")
     n = dataset.cyclotomic_modulus
-    # w zeta^(jk) R is R's numerators shifted by jk (x^n = 1): add up integers over one den;
-    # the weight w = virtual_euler / (m (r+1)), over R's den, is wn / wd
-    acc, den = [0] * n, 1
-    for c in dataset.classes:
-        coeff = R_coefficient(c.r, k, n, c.normal_eigenvalues)
-        wn = c.virtual_euler.numerator
-        wd = c.virtual_euler.denominator * c.m * (c.r + 1) * coeff.den
-        grow = wd // math.gcd(den, wd)
-        if grow != 1:
-            acc, den = [a * grow for a in acc], den * grow
-        scale = wn * (den // wd)
-        for i, a in enumerate(coeff.num, c.j * k):
-            acc[i % n] += scale * a
+    den, identity, groups = _weight_free_sum(dataset)
+    # zeta^(jk) moves entry i of a vector of Z[C_n] to i + jk mod n (x^n = 1):
+    # each group's vector v is stored twice over, and v + v from n - jk on is v shifted
+    acc = list(map(sum, zip(*[vv[s:s + n] for j, vv in groups for s in (-j * k % n,)])))
+    acc = acc or [0] * n  # a dataset with no isolated class
+    acc[0] += _identity_coefficient(k) * identity
     total = CycElt.from_group_ring(n, acc, den)
     if not total.is_rational():  # a rational sum is real: conjugate only to word the error
         kind = "real" if total != total.conjugate() else "rational"
         raise NotAnInteger(f"class sum {total} is not {kind}")
-    val = total.as_rational()
-    if val.denominator != 1 or val < 0:
-        raise NotAnInteger(f"class sum {val} is not a nonnegative integer")
-    return int(val)
+    if total.den != 1 or total.num[0] < 0:  # canonical: the rational num[0]/den is in lowest terms
+        raise NotAnInteger(f"class sum {total.as_rational()} is not a nonnegative integer")
+    return total.num[0]
 
 
 # ---------------------------------------------------------------------------

@@ -36,14 +36,21 @@ def bernoulli_number(n: int) -> Fraction:
         raise ValueError("n must be >= 0")
     if n == 0:
         return Fraction(1)
-    if n > 1 and n % 2:
+    if n == 1:
+        return Fraction(-1, 2)
+    if n % 2:
         return Fraction(0)
-    # sum_{k=0}^{n} C(n+1,k) B_k = 0 for n >= 1, where B_k = 0 for odd k >= 3
-    acc = Fraction(0)
-    for k in range(n):
-        if k < 2 or k % 2 == 0:
-            acc += math.comb(n + 1, k) * bernoulli_number(k)
-    return -acc / (n + 1)
+    # sum_{k=0}^{n} C(n+1,k) B_k = 0 for n >= 1, where B_k = 0 for odd k >= 3:
+    # the terms k = 0, 1 and even k < n, each C(n+1, k) two steps on from the
+    # last, added up over one common denominator
+    terms = [(1, bernoulli_number(0)), (n + 1, bernoulli_number(1))]
+    c = (n + 1) * n // 2  # C(n+1, 2)
+    for k in range(2, n, 2):
+        terms.append((c, bernoulli_number(k)))
+        c = c * (n + 1 - k) * (n - k) // ((k + 1) * (k + 2))
+    den = math.lcm(*(b.denominator for _, b in terms))
+    return Fraction(-sum(c * b.numerator * (den // b.denominator) for c, b in terms),
+                    den * (n + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -287,12 +287,19 @@ def run_all(config_path: str | None = None) -> VerificationReport:
         r.add(f"fibration_components_{label}", f"fiber component accounting ({label})",
               True, cl.fiber_component_accounting(fibers, chains))
 
-    import hashlib  # only the report hashes: no other subcommand loads OpenSSL
+    # only the report hashes, with the interpreter's built-in sha256 (`_sha2` from 3.12,
+    # `_sha256` before), the one hashlib falls back to; hashlib's on a build without it
+    for module in ("_sha2", "_sha256", "hashlib"):
+        try:
+            sha256 = __import__(module).sha256
+            break
+        except ImportError:
+            pass
 
     body = json.dumps({"entries": r.entries, "config": json.dumps(cfg, sort_keys=True)},
                       sort_keys=True)
     r.metadata = {
-        "config_hash": hashlib.sha256(body.encode()).hexdigest(),
+        "config_hash": sha256(body.encode()).hexdigest(),
         "version": __version__,
         "entry_count": len(r._rows),
     }

@@ -152,6 +152,7 @@ def test_dimension_takes_no_field_inverse_and_no_galois_map(monkeypatch):
         raise AssertionError("the class sum needs no inverse and no Galois map")
 
     dim._isolated_coefficient.cache_clear()
+    dim._weight_free_sum.cache_clear()
     monkeypatch.setattr(CycElt, "inverse", refuse)
     monkeypatch.setattr(cyclotomic, "_galois", refuse)
     expected = {"gamma": [1, 4, 7, 13], "gamma_tilde": [1, 2, 3, 5]}
@@ -159,6 +160,35 @@ def test_dimension_takes_no_field_inverse_and_no_galois_map(monkeypatch):
         ds = build()
         for s in (s for s in range(1, 21) if math.gcd(s, 21) == 1):
             assert [dim.dimension(ds.conjugated(s), k) for k in range(2, 6)] == expected[ds.label]
+
+
+@pytest.mark.parametrize("build, isolated", [(dim.build_gamma_dataset, 18),
+                                             (dim.build_gamma_tilde_dataset, 12)])
+def test_the_weight_free_part_is_built_once_per_dataset(monkeypatch, build, isolated):
+    # R(0) is read once per isolated class, however many weights are evaluated
+    calls, R = [], dim.R_coefficient
+
+    def counted(r, k, n, normal_eigenvalues=()):
+        calls.append(r)
+        return R(r, k, n, normal_eigenvalues)
+
+    dim._weight_free_sum.cache_clear()
+    monkeypatch.setattr(dim, "R_coefficient", counted)
+    ds = build().conjugated(5)
+    values = [dim.dimension(ds, k) for k in range(2, 42)]
+    assert calls == [0] * isolated
+    assert values[:2] == ([1, 4] if ds.label == "gamma" else [1, 2])
+
+
+def test_the_weight_free_part_is_keyed_by_the_dataset_not_its_label():
+    # e/3 of the identity class grows by 1, so each dimension grows by C(3k-1, 2)
+    g = dim.build_gamma_dataset()
+    identity = g.classes[0]
+    assert identity.r == 2
+    heavier = dim.ClassDataset(g.label, g.cyclotomic_modulus,
+                               (identity._replace(virtual_euler=identity.virtual_euler + 3),)
+                               + g.classes[1:])
+    assert [dim.dimension(ds, k) for ds in (g, heavier, g) for k in (2, 3)] == [1, 4, 11, 32, 1, 4]
 
 
 def test_a_class_sum_off_the_rationals_says_whether_it_is_real():

@@ -188,6 +188,17 @@ def test_a_subcommand_that_hashes_nothing_loads_no_hashlib():
     assert out.splitlines()[-1] == "0 []"
 
 
+def test_a_cold_report_hashes_without_hashlib():
+    """The report's one sha256 is the interpreter's built-in one, which does
+    not load OpenSSL."""
+    out = run_cold("import contextlib, io, sys\n"
+                   "from ballquot.cli import main\n"
+                   "with contextlib.redirect_stdout(io.StringIO()):\n"
+                   "    code = main(['report'])\n"
+                   "print(code, [m for m in ('hashlib', '_hashlib') if m in sys.modules])\n")
+    assert out.splitlines()[-1] == "0 []"
+
+
 def test_the_timestamp_still_comes_with_the_report():
     out = run_cold("from ballquot.cli import main\n"
                    "main(['report', '--timestamp'])\n")
