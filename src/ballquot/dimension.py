@@ -6,12 +6,15 @@ j^k, divided by the class order and r+1, times a power-series coefficient
 R(r, k).  Order-7 and order-3 rotation data mix exactly in Q(zeta_21).
 Roots of unity are kept as exponents of zeta_21, and the weight k enters
 only as the identity class's R(2, k) = C(3k-1, 2) and each isolated class's
-j^k: R(0, k) is the same at every k.  So the weight-free part is built once
-per dataset, the identity classes' total weight and, for each distinct j,
-the integer vector of the weighted R(0) of the classes with that j, all
-over one denominator (6 groups for X/Gamma, 7 for X/Gamma~, whose six
-order-3 classes all have j = 1); each weight then costs one shift by jk
-and one add per group.  No field inverse is taken: for w = zeta_n^e of
+j^k: R(0, k) is the same at every k.  So each dataset holds its own
+weight-free form, built from its classes on the first `dimension` call: the
+identity classes' total weight and, for each distinct j, the integer vector
+of the weighted R(0) of the classes with that j, all over one denominator
+(6 groups for X/Gamma, 7 for X/Gamma~, whose six order-3 classes all have
+j = 1); each weight then costs one shift by jk and one add per group.  A
+Galois conjugate is a new dataset with its own form; of the conditions on a
+class, a unit can break only "no normal eigenvalue is 1", so conjugation
+checks that one alone.  No field inverse is taken: for w = zeta_n^e of
 order m, (1 - w) * sum_{t<m} t w^t = -m gives 1/(1 - w) in closed form,
 so R(0, k) is one product of two such elements.  The sum is tested for
 rationality first; only a sum that is not rational is conjugated, to word
@@ -28,11 +31,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, cached_property
 from typing import NamedTuple
 
 from . import singularities as sg
-from . import validated
+from . import Frozen, validated
 from .cyclotomic import CycElt
 
 
@@ -66,21 +69,58 @@ class FixedPointClass(NamedTuple):
             raise ValueError("class order must be positive")
 
 
-class ClassDataset(NamedTuple):
-    label: str
-    cyclotomic_modulus: int
-    classes: tuple[FixedPointClass, ...]
+class ClassDataset(Frozen):
+    """The fixed-point classes of one quotient, roots of unity as exponents
+    of zeta_n, n = `cyclotomic_modulus`."""
+
+    _fields = ("label", "cyclotomic_modulus", "classes")  # no __slots__, for cached_property
 
     def conjugated(self, s: int) -> "ClassDataset":
-        """Apply zeta -> zeta^s to every root of unity in the dataset."""
+        """Apply zeta -> zeta^s to every root of unity in the dataset; only the
+        eigenvalue check is made again (module docstring)."""
+        _require_int(s, "the Galois exponent s")
         n = self.cyclotomic_modulus
         if math.gcd(s, n) != 1:
             raise ValueError("s must be coprime to the modulus")
-        out = tuple(
-            FixedPointClass(c.r, c.virtual_euler, c.j * s % n, c.m,
-                            tuple(e * s % n for e in c.normal_eigenvalues))
-            for c in self.classes)
-        return ClassDataset(self.label, n, out)
+        out = []
+        for r, w, j, m, eigenvalues in self.classes:
+            eigenvalues = tuple([e * s % n for e in eigenvalues])
+            if 0 in eigenvalues:
+                raise EigenvalueOne("normal eigenvalue 1 makes R undefined")
+            # tuple.__new__, as NamedTuple._make, skips `validated`'s __new__
+            out.append(tuple.__new__(FixedPointClass, (r, w, j * s % n, m, eigenvalues)))
+        return ClassDataset(self.label, n, tuple(out))
+
+    @cached_property
+    def _weight_free_sum(self) -> tuple[int, int, tuple[tuple[int, tuple], ...]]:
+        """The class sum with the weight taken out, over one denominator den:
+        (den, the identity classes' total weight e/(3m) times den, and for each
+        distinct j the n integers of Z[C_n] of den * sum w R(0) over the
+        isolated classes with that j, w = e/m, written twice over)."""
+        n = self.cyclotomic_modulus
+        # w R(0) = wn * R.num / wd; R(0) is the same at every k, so any weight in scope reads it
+        terms = []
+        for c in self.classes:
+            R = None if c.r == 2 else R_coefficient(0, 2, n, c.normal_eigenvalues)
+            wd = c.virtual_euler.denominator * c.m * (c.r + 1) * (1 if R is None else R.den)
+            terms.append((c.j, c.virtual_euler.numerator, wd, R))
+        den = math.lcm(*(wd for _, _, wd, _ in terms))
+        identity, groups = 0, {}
+        for j, wn, wd, R in terms:
+            scale = wn * (den // wd)
+            if R is None:
+                identity += scale
+                continue
+            acc = groups.setdefault(j, [0] * n)
+            for i, a in enumerate(R.num):
+                acc[i] += scale * a
+        return den, identity, tuple((j, tuple(acc) * 2) for j, acc in groups.items())
+
+
+def _require_int(value, what: str) -> None:
+    """Refuse anything but an int (a bool or a float included), naming its type."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an int, not {type(value).__name__}")
 
 
 def _inverse_of_one_minus(n: int, e: int) -> CycElt:
@@ -115,39 +155,14 @@ def R_coefficient(r: int, k: int, n: int, normal_eigenvalues: tuple[int, ...] = 
     return _isolated_coefficient(n, *normal_eigenvalues)
 
 
-@lru_cache(maxsize=16)
-def _weight_free_sum(dataset: ClassDataset) -> tuple[int, int, tuple[tuple[int, tuple], ...]]:
-    """The class sum with the weight taken out, over one denominator den:
-    (den, the identity classes' total weight e/(3m) times den, and for each
-    distinct j the n integers of Z[C_n] of den * sum w R(0) over the
-    isolated classes with that j, w = e/m, written twice over)."""
-    n = dataset.cyclotomic_modulus
-    # w R(0) = wn * R.num / wd; R(0) is the same at every k, so any weight in scope reads it
-    terms = []
-    for c in dataset.classes:
-        R = None if c.r == 2 else R_coefficient(0, 2, n, c.normal_eigenvalues)
-        wd = c.virtual_euler.denominator * c.m * (c.r + 1) * (1 if R is None else R.den)
-        terms.append((c.j, c.virtual_euler.numerator, wd, R))
-    den = math.lcm(*(wd for _, _, wd, _ in terms))
-    identity, groups = 0, {}
-    for j, wn, wd, R in terms:
-        scale = wn * (den // wd)
-        if R is None:
-            identity += scale
-            continue
-        acc = groups.setdefault(j, [0] * n)
-        for i, a in enumerate(R.num):
-            acc[i] += scale * a
-    return den, identity, tuple((j, tuple(acc) * 2) for j, acc in groups.items())
-
-
 def dimension(dataset: ClassDataset, k: int) -> int:
     """Exact class sum for the weight-k dimension; must come out a
     nonnegative rational integer."""
+    _require_int(k, "the weight k")
     if k < 2:
         raise ValueError("weights below 2 are out of scope")
     n = dataset.cyclotomic_modulus
-    den, identity, groups = _weight_free_sum(dataset)
+    den, identity, groups = dataset._weight_free_sum
     # zeta^(jk) moves entry i of a vector of Z[C_n] to i + jk mod n (x^n = 1):
     # each group's vector v is stored twice over, and v + v from n - jk on is v shifted
     acc = list(map(sum, zip(*[vv[s:s + n] for j, vv in groups for s in (-j * k % n,)])))

@@ -152,7 +152,6 @@ def test_dimension_takes_no_field_inverse_and_no_galois_map(monkeypatch):
         raise AssertionError("the class sum needs no inverse and no Galois map")
 
     dim._isolated_coefficient.cache_clear()
-    dim._weight_free_sum.cache_clear()
     monkeypatch.setattr(CycElt, "inverse", refuse)
     monkeypatch.setattr(cyclotomic, "_galois", refuse)
     expected = {"gamma": [1, 4, 7, 13], "gamma_tilde": [1, 2, 3, 5]}
@@ -172,12 +171,52 @@ def test_the_weight_free_part_is_built_once_per_dataset(monkeypatch, build, isol
         calls.append(r)
         return R(r, k, n, normal_eigenvalues)
 
-    dim._weight_free_sum.cache_clear()
     monkeypatch.setattr(dim, "R_coefficient", counted)
     ds = build().conjugated(5)
     values = [dim.dimension(ds, k) for k in range(2, 42)]
     assert calls == [0] * isolated
     assert values[:2] == ([1, 4] if ds.label == "gamma" else [1, 2])
+
+
+def test_each_dataset_builds_its_form_once_with_more_than_16_alive(monkeypatch):
+    # 24 conjugates evaluated round-robin: each reads R(0) once per isolated class
+    calls, R = [], dim.R_coefficient
+
+    def counted(r, k, n, normal_eigenvalues=()):
+        calls.append(r)
+        return R(r, k, n, normal_eigenvalues)
+
+    monkeypatch.setattr(dim, "R_coefficient", counted)
+    units = [s for s in range(1, 21) if math.gcd(s, 21) == 1]
+    conjugates = [build().conjugated(s) for build in (dim.build_gamma_dataset,
+                                                      dim.build_gamma_tilde_dataset)
+                  for s in units]
+    assert len(conjugates) == 24
+    values = [[dim.dimension(ds, k) for ds in conjugates] for k in range(2, 6)]
+    assert calls == [0] * (12 * 18 + 12 * 12)
+    assert values == [[1] * 24, [4] * 12 + [2] * 12, [7] * 12 + [3] * 12, [13] * 12 + [5] * 12]
+
+
+def test_conjugation_keeps_the_eigenvalue_check():
+    # 21 is not 0, but 21 * 5 is 0 mod 21: the conjugate would have eigenvalue 1
+    ds = dim.ClassDataset("x", 21, (dim.FixedPointClass(0, Fraction(1), 3, 7, (21, 9)),))
+    with pytest.raises(dim.EigenvalueOne, match="^normal eigenvalue 1 makes R undefined$"):
+        ds.conjugated(5)
+    for build in (dim.build_gamma_dataset, dim.build_gamma_tilde_dataset):
+        base = build()
+        for s in (s for s in range(1, 21) if math.gcd(s, 21) == 1):
+            for c in base.conjugated(s).classes:
+                assert type(c) is dim.FixedPointClass and c == dim.FixedPointClass(*c)
+
+
+@pytest.mark.parametrize("value", [True, 3.0, Fraction(3), "3"],
+                         ids=["bool", "float", "Fraction", "str"])
+def test_a_non_int_weight_or_galois_exponent_is_a_type_error(value):
+    g = dim.build_gamma_dataset()
+    with pytest.raises(TypeError, match=f"must be an int, not {type(value).__name__}$"):
+        dim.dimension(g, value)
+    with pytest.raises(TypeError, match=f"must be an int, not {type(value).__name__}$"):
+        g.conjugated(value)
 
 
 def test_the_weight_free_part_is_keyed_by_the_dataset_not_its_label():
