@@ -38,9 +38,11 @@ def validated(cls):
 
 
 class Frozen:
-    """Base of an immutable record with arithmetic (`CycElt`, `SymbolicReal`,
-    `AlgElt`, `OrderBasis`): `__init__` sets the fields named in `_fields`
-    once; equality, hash and repr are by field values."""
+    """Base of an immutable record (`CycElt`, `SymbolicReal`, `AlgElt`,
+    `OrderBasis`, `ClassDataset`): `__init__` sets the fields named in
+    `_fields` once; equality, hash and repr are by field values.  `AlgElt`'s
+    fields are its integer vector and denominator, and its repr shows the
+    components x0, x1, x2 instead."""
 
     __slots__ = ()
 

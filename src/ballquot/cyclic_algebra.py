@@ -1,42 +1,32 @@
 """The cyclic division algebra D = D(L, sigma, alpha) over K = Q(sqrt(-7)).
 
-Elements are triples x0 + x1*u + x2*u^2 over L = Q(zeta_7), with
-u^3 = alpha = lambda/lambda_bar = (-2 - lambda)/2 (closed forms in K, from the
-field layer) and a*u = u*a^sigma.  The canonical involution of second kind
-sends a |-> conj(a) on L and u |-> conj(alpha)*u^2.
+Elements are x0 + x1*u + x2*u^2 with xi in L = Q(zeta_7), u^3 = alpha =
+lambda/lambda_bar = (-2 - lambda)/2 and a*u = u*a^sigma; the canonical
+involution of second kind sends a |-> conj(a) on L and u |-> conj(alpha)*u^2.
+The reduced norm, the adjugate x^# = x^2 - T(x) x + S(x) and the inverse
+x^#/nrd(x) come from products and the reduced trace, by the reduced
+characteristic polynomial over K (Reiner, Maximal Orders, section 9).
 
-Every x in D satisfies its reduced characteristic polynomial
-t^3 - T(x) t^2 + S(x) t - nrd(x) over K (Reiner, Maximal Orders, section 9),
-so the reduced norm, the adjugate x^# = x^2 - T(x) x + S(x) and the inverse
-x^# / nrd(x) all come from algebra products and the reduced trace.  The
-embedding of D into M_3(L) serves only the hermitian forms.
-
-Where only the L-component of a product is read (the reduced norm x x^#,
-and the reduced trace trd(xy) of the Gram matrix), `product_x0` gives it
-from the three of the nine component products that reach it:
-(xy)_0 = x0 y0 + alpha (x1 sigma^-1(y2) + x2 sigma^-2(y1)).
-
-The product, `product_x0` and `iota` share the one integer kernel of the
-field layer, `cyclotomic.convolve` over the group ring Z[C_7] =
-Z[x]/(x^7 - 1), which maps onto Z[zeta].  Each component enters as its
-power-basis numerators over the operand's common denominator.  Every Galois
-map the three need (sigma^-i: zeta -> zeta^(4^i), conj: zeta -> zeta^6, and
-zeta -> zeta^3, zeta^5 for iota) is the kernel's index map b -> k*b mod 7,
-applied inside the convolution.  u^3 = alpha enters as alpha's integer
-vector (-2, -1, -1, 0, -1, 0) over its denominator 2, and conj(alpha)
-likewise, both read once from `alpha()`.  Each output component goes back to
-the power basis through `CycElt.from_group_ring`, canonicalised once.
+An element is one integer vector: the 18 power-basis numerators of x0, x1,
+x2 over one positive denominator, gcd 1.  `==`, `hash`, sums, the reduced
+trace and `numerators()`, the order layer's input, read it as it is.
+Products, `scale` and `iota` sum in Z[C_7] through `cyclotomic.convolve`,
+whose index map b -> k*b mod 7 is each Galois map they need; alpha and
+conj(alpha) enter as integer vectors over 2.  Each result component is
+folded by `cyclotomic.fold`, and one gcd canonicalises the vector.  x0, x1,
+x2 are `CycElt`s read off the vector when first asked for (`to_matrix`,
+`str`, `repr`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from . import Frozen, matrix3 as m3
-from .cyclotomic import (UNIT, CycElt, alpha, convolve, index_map, lam, lam_bar,
-                         lambda_valuation)
+from .cyclotomic import (CycElt, alpha, convolve, fold, index_map, lam, lam_bar,
+                         lambda_valuation, trace_to_K)
 
 
 class NotInvertible(ValueError):
@@ -47,33 +37,45 @@ class NotIotaInvariant(ValueError):
     pass
 
 
-class AlgElt(Frozen):
-    """x0 + x1*u + x2*u^2 with xi in L = Q(zeta_7)."""
+class NotInL(TypeError):
+    """Raised when a component or scalar of an `AlgElt` is not a `CycElt` of modulus 7."""
 
-    _fields = ("x0", "x1", "x2")  # each a CycElt; equality, hash and repr read these
-    __slots__ = _fields + ("_numerators",)  # `numerators()`, built on first use
+
+class AlgElt(Frozen):
+    """x0 + x1*u + x2*u^2 with xi in L = Q(zeta_7), held as one integer vector."""
+
+    _fields = ("_v", "_d")  # the 18 numerators over their denominator: `==` and `hash`
+    __slots__ = _fields + ("x0", "x1", "x2")  # the components, set when first read
 
     def __init__(self, x0: CycElt, x1: CycElt, x2: CycElt) -> None:
-        setter = object.__setattr__
-        setter(self, "x0", x0)
-        setter(self, "x1", x1)
-        setter(self, "x2", x2)
-        setter(self, "_numerators", None)
+        parts = [_require_L(c, name) for name, c in zip(AlgElt.__slots__[2:], (x0, x1, x2))]
+        d = lcm(x0.den, x1.den, x2.den)  # with each part canonical, the gcd is 1
+        v = tuple([a * (d // c.den) for c in parts for a in c.num])
+        for name, value in zip(AlgElt.__slots__, (v, d, *parts)):
+            object.__setattr__(self, name, value)
+
+    def __getattr__(self, name: str) -> CycElt:
+        """x0, x1 and x2 of a kernel result, read off the vector at the first read of one."""
+        if name not in AlgElt.__slots__[2:]:
+            raise AttributeError(name)
+        for part, i in zip(AlgElt.__slots__[2:], (0, 6, 12)):
+            object.__setattr__(self, part, CycElt.from_numerators(7, self._v[i:i + 6], self._d))
+        return getattr(self, name)
+
+    def __repr__(self) -> str:
+        return f"AlgElt(x0={self.x0!r}, x1={self.x1!r}, x2={self.x2!r})"
 
     @staticmethod
     def from_L(a: CycElt) -> "AlgElt":
-        z = CycElt.zero(7)
-        return AlgElt(a, z, z)
+        return AlgElt(a, CycElt.zero(7), CycElt.zero(7))
 
     @staticmethod
     def u() -> "AlgElt":
-        z = CycElt.zero(7)
-        return AlgElt(z, CycElt.one(7), z)
+        return AlgElt(CycElt.zero(7), CycElt.one(7), CycElt.zero(7))
 
     @staticmethod
     def zero() -> "AlgElt":
-        z = CycElt.zero(7)
-        return AlgElt(z, z, z)
+        return AlgElt.from_L(CycElt.zero(7))
 
     @staticmethod
     def one() -> "AlgElt":
@@ -82,54 +84,43 @@ class AlgElt(Frozen):
     def __add__(self, o: "AlgElt") -> "AlgElt":
         if not isinstance(o, AlgElt):
             return NotImplemented
-        return AlgElt(self.x0 + o.x0, self.x1 + o.x1, self.x2 + o.x2)
+        d = lcm(self._d, o._d)  # over the least common denominator
+        fx, fy = d // self._d, d // o._d
+        return _canonical([a * fx + b * fy for a, b in zip(self._v, o._v)], d)
 
     def __neg__(self) -> "AlgElt":
-        return AlgElt(-self.x0, -self.x1, -self.x2)
+        return _canonical([-a for a in self._v], self._d)
 
     def __sub__(self, o: "AlgElt") -> "AlgElt":
-        if not isinstance(o, AlgElt):
-            return NotImplemented
-        return self + (-o)
+        return self + (-o) if isinstance(o, AlgElt) else NotImplemented
 
     def __mul__(self, o: "AlgElt") -> "AlgElt":
-        if not isinstance(o, AlgElt):
-            return NotImplemented
-        return AlgElt(*_product(self, o, (0, 1, 2)))
+        return _folded(*_product(self, o, (0, 1, 2))) if isinstance(o, AlgElt) else NotImplemented
 
     def product_x0(self, o: "AlgElt") -> CycElt:
-        """(self * o).x0, without the other two components: the terms x_i u^i * y_j u^j
-        with i + j in {0, 3}, as in `__mul__`."""
-        return _product(self, o, (0,))[0]
+        """(self * o).x0 alone: the terms x_i u^i * y_j u^j of `__mul__` with i + j in {0, 3}."""
+        (acc,), d = _product(self, o, (0,))
+        return CycElt.from_group_ring(7, acc, d)
 
     def scale(self, c: CycElt | Fraction | int) -> "AlgElt":
         """c * self for c in L or Q: c multiplies each component from the left."""
-        return AlgElt(c * self.x0, c * self.x1, c * self.x2)
+        c = _require_L(c if isinstance(c, CycElt) else CycElt.rational(7, c), "the scalar")
+        return _folded([convolve([0] * 7, c.num, p, _SIGMA_INV[0]) for p in _parts(self)],
+                       c.den * self._d)
 
     def is_zero(self) -> bool:
-        return self.x0.is_zero() and self.x1.is_zero() and self.x2.is_zero()
+        return not any(self._v)
 
-    def numerators(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """The power-basis numerators of x0, x1, x2 over their least common
-        denominator, built once per element."""
-        r = self._numerators
-        if r is None:
-            comps = (self.x0, self.x1, self.x2)
-            den = lcm(*(c.den for c in comps))
-            r = tuple(c.num if c.den == den else tuple(a * (den // c.den) for a in c.num)
-                      for c in comps), den
-            object.__setattr__(self, "_numerators", r)
-        return r
-
-    # -- reduced characteristic polynomial
+    def numerators(self) -> tuple[tuple[int, ...], int]:
+        """The element's own vector: the numerators of x0, x1, x2 over their one denominator."""
+        return self._v, self._d
 
     def reduced_trace(self) -> CycElt:
-        return self.x0.trace_to_K()
+        return trace_to_K(self._v[:6], self._d)
 
     def adjugate(self) -> "AlgElt":
         """x^# = x^2 - T(x) x + S(x), with S(x) = (T(x)^2 - T(x^2)) / 2, so x x^# = nrd(x)."""
-        t = self.reduced_trace()
-        sq = self * self
+        t, sq = self.reduced_trace(), self * self
         s = (t * t - sq.reduced_trace()) * Fraction(1, 2)
         return sq - self.scale(t) + AlgElt.from_L(s)
 
@@ -152,21 +143,14 @@ class AlgElt(Frozen):
         return m3.mat([[(al * x[(i - j) % 3] if i < j else x[(i - j) % 3]).galois(pow(2, i, 7))
                         for j in range(3)] for i in range(3)])
 
-    # -- involutions
-
     def iota(self) -> "AlgElt":
-        """Canonical involution of second kind: conj on L, u -> conj(alpha) u^2.
-
-        With sigma = (zeta -> zeta^2) and conj(alpha) * alpha = 1,
-        iota(x0 + x1 u + x2 u^2)
-            = conj(x0) + conj(alpha) sigma^2(conj(x2)) u + conj(alpha) sigma(conj(x1)) u^2,
-        where sigma^2 o conj is zeta -> zeta^3 and sigma o conj is zeta -> zeta^5.
-        """
-        _, conj_twist = _twists()
-        conj, conj3, conj5 = index_map(7, 6), index_map(7, 3), index_map(7, 5)
-        return AlgElt(_component([(UNIT, self.x0.num, conj)], (), None, self.x0.den),
-                      _component((), [(UNIT, self.x2.num, conj3)], conj_twist, self.x2.den),
-                      _component((), [(UNIT, self.x1.num, conj5)], conj_twist, self.x1.den))
+        """Canonical involution of second kind: conj on L, u -> conj(alpha) u^2, so
+        iota(x0 + x1 u + x2 u^2) = conj(x0) + conj(alpha) sigma^2(conj(x2)) u
+        + conj(alpha) sigma(conj(x1)) u^2, sigma^2 o conj: zeta -> zeta^3, sigma o conj: zeta^5."""
+        (num, t), (x0, x1, x2) = _twists()[1], _parts(self)
+        return _folded([convolve([0] * 7, (t,), x0, index_map(7, 6)),
+                        convolve([0] * 7, num, x2, index_map(7, 3)),
+                        convolve([0] * 7, num, x1, index_map(7, 5))], t * self._d)
 
     def iota_b(self, b: "AlgElt") -> "AlgElt":
         """Twisted involution x -> b * iota(x) * b^{-1}; b must be iota-invariant."""
@@ -177,49 +161,62 @@ class AlgElt(Frozen):
 
 
 # ---------------------------------------------------------------------------
-# components of L as integer vectors of Z[C_7] = Z[x]/(x^7 - 1)
+# the vector of an element, and components of L as integer vectors of Z[C_7]
 
 _SIGMA_INV = tuple(index_map(7, 4 ** i % 7) for i in range(3))  # sigma^-i: zeta -> zeta^(4^i)
+
+
+def _require_L(c, what: str) -> CycElt:
+    if not isinstance(c, CycElt) or c.modulus != 7:
+        kind = f"modulus {c.modulus}" if isinstance(c, CycElt) else type(c).__name__
+        raise NotInL(f"{what} must be a CycElt of modulus 7, not {kind}")
+    return c
+
+
+def _canonical(v: list[int], d: int) -> AlgElt:
+    """The element with numerators v over d > 0, both divided by their gcd."""
+    g, x = gcd(d, *v), object.__new__(AlgElt)
+    object.__setattr__(x, "_v", tuple(v) if g == 1 else tuple([a // g for a in v]))
+    object.__setattr__(x, "_d", d // g)
+    return x
+
+
+def _parts(x: AlgElt) -> tuple[tuple[int, ...], ...]:
+    v = x._v
+    return v[:6], v[6:12], v[12:]
+
+
+def _folded(accs: list[list[int]], d: int) -> AlgElt:
+    """The element whose components are the images of three vectors of Z[C_7] over d."""
+    return _canonical(fold(7, accs[0]) + fold(7, accs[1]) + fold(7, accs[2]), d)
 
 
 @cache
 def _twists() -> tuple[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]]:
     """alpha and conj(alpha), each as power-basis numerators over its denominator."""
     a = alpha()
-    b = a.conjugate()
-    return (a.num, a.den), (b.num, b.den)
+    return tuple((c.num, c.den) for c in (a, a.conjugate()))
 
 
-def _component(plain, twisted, twist, den: int) -> CycElt:
-    """(sum of p * sigma(q) over `plain` + twist * the same sum over `twisted`) / den,
-    an element of L from terms (p, q, sigma) of integer vectors and index maps; the
-    twist is (numerators, denominator), or None when nothing is twisted."""
-    acc = [0] * 7
-    for p, q, sigma in plain:
-        convolve(acc, p, q, sigma)
-    if twisted:
-        high = [0] * 7
-        for p, q, sigma in twisted:
-            convolve(high, p, q, sigma)
-        num, twist_den = twist
-        acc = [twist_den * v for v in acc]
-        convolve(acc, num, high, _SIGMA_INV[0])  # sigma^0 is the identity
-        den *= twist_den
-    return CycElt.from_group_ring(7, acc, den)
-
-
-def _product(x: AlgElt, y: AlgElt, components) -> list[CycElt]:
-    """The given components of x * y.  a u = u a^sigma, so u^i y = y^(sigma^-i) u^i
-    and x_i u^i * y_j u^j = x_i y_j^(sigma^-i) u^(i+j), with u^3 = alpha."""
-    (xs, dx), (ys, dy) = x.numerators(), y.numerators()
-    terms = [[] for _ in range(6)]  # by i + j; none at 5, so component 2 has no twist
-    for i, p in enumerate(xs):
+def _product(x: AlgElt, y: AlgElt, components) -> tuple[list[list[int]], int]:
+    """The given components of x * y in Z[C_7] over one denominator: x_i u^i * y_j u^j =
+    x_i y_j^(sigma^-i) u^(i+j), u^3 = alpha, so component m sums the terms with
+    i + j = m, plus alpha times those with i + j = m + 3."""
+    ys = [(j, q) for j, q in enumerate(_parts(y)) if any(q)]
+    sums = [[0] * 7 for _ in range(5)]  # by i + j
+    for i, p in enumerate(_parts(x)):
         if any(p):
-            for j, q in enumerate(ys):
-                if any(q):
-                    terms[i + j].append((p, q, _SIGMA_INV[i]))
-    twist, _ = _twists()
-    return [_component(terms[m], terms[m + 3], twist, dx * dy) for m in components]
+            for j, q in ys:
+                if (i + j) % 3 in components:
+                    convolve(sums[i + j], p, q, _SIGMA_INV[i])
+    if not any(sums[3]) and not any(sums[4]):  # no term reaches u^3 = alpha
+        return [sums[m] for m in components], x._d * y._d
+    (num, t), accs = _twists()[0], []
+    for m in components:
+        accs.append([t * a for a in sums[m]])
+        if m < 2 and any(sums[m + 3]):
+            convolve(accs[-1], num, sums[m + 3], _SIGMA_INV[0])  # sigma^0 is the identity
+    return accs, t * x._d * y._d
 
 
 @lru_cache(maxsize=16)

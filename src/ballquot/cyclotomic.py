@@ -15,15 +15,17 @@ One integer kernel does the arithmetic.  `convolve` adds p * sigma_k(q) to
 a vector of the group ring Z[C_N] = Z[x]/(x^N - 1), which maps onto
 Z[zeta_N]; sigma_k, the Galois map zeta -> zeta^k, is the index map
 x^b -> x^(k*b mod N), read from the table `index_map(N, k)` built on first
-use.  `CycElt.from_group_ring` takes such a vector to the power basis
-through a table of x^j mod Phi_N and canonicalises it.  A product is one kernel call
-with k = 1, a Galois map one call with p = 1, and the cyclic algebra over
-Q(zeta_7) builds its components with the same kernel.  An inverse is c/(a*c)
-for c the product of the other phi(N) - 1 Galois conjugates, a*c being the
-rational norm; that suffices, as a process makes one or two, each of the
-rational nrd(b) = 3.  The sign of a real element is exact: `interval`
-encloses its value between two `Fraction`s, from cosine series in scaled
-integers and `symreal.pi_interval`.
+use.  `fold` takes such a vector to its power-basis numerators through a
+table of x^j mod Phi_N, and `CycElt.from_group_ring` canonicalises what it
+gives (`CycElt.from_numerators` canonicalises numerators given directly).
+A product is one kernel call with k = 1, a Galois map one call with p = 1,
+and the cyclic algebra over Q(zeta_7) computes on its integer vectors with
+the same kernel and the same fold.  An inverse is c/(a*c) for c the product
+of the other phi(N) - 1 Galois conjugates, a*c being the rational norm;
+that suffices, as a process makes one or two, each of the rational
+nrd(b) = 3.  The sign of a real element is exact: `interval` encloses its
+value between two `Fraction`s, from cosine series in scaled integers and
+`symreal.pi_interval`.
 
 N = 7 carries the core field L = Q(zeta_7) with its quadratic subfield
 K = Q(sqrt(-7)); N = 21 is used for mixed order-3/order-7 fixed point data.
@@ -32,11 +34,13 @@ a Gauss period, so (p + q*lambda)/den has the numerators (p, q, q, 0, q, 0)
 (`CycElt.from_K`), and an element lies in K exactly when its numerators
 have that shape (`in_K`).  sigma: zeta -> zeta^2 permutes the exponents
 {1, 2, 4} and {3, 5, 6}, so Tr_{L/K} sends zeta^t to 3, lambda or
-lambda_bar = -1 - lambda, and `trace_to_K` is two integer sums of the
-numerators.  `K_parts` reads (p, q, den) back for `lambda_valuation`.  As
-lambda^2 = -lambda - 2 and N(lambda) = 2, alpha = lambda / lambda_bar =
-(-2 - lambda) / 2, so `lam`, `lam_bar` and `alpha` are `from_K` calls.  None
-of these needs a Galois map; no other module reads K's numerators.
+lambda_bar = -1 - lambda, and `trace_to_K(num, den)`, which the method
+`CycElt.trace_to_K` and the algebra's reduced trace call, is two integer
+sums of the numerators.  `K_parts` reads (p, q, den) back for
+`lambda_valuation`.  As lambda^2 = -lambda - 2 and N(lambda) = 2,
+alpha = lambda / lambda_bar = (-2 - lambda) / 2, so `lam`, `lam_bar` and
+`alpha` are `from_K` calls.  None of these needs a Galois map; no other
+module reads K's numerators.
 """
 
 from __future__ import annotations
@@ -111,13 +115,30 @@ def index_map(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple((a + k * b) % n for b in range(n)) for a in range(n))
 
 
-def convolve(acc: list[int], p, q, sigma) -> None:
-    """acc += p * sigma(q) in Z[C_n], for sigma = index_map(n, k).  p and q
-    are integer vectors of at most n entries, acc a list of n."""
+def fold(n: int, acc: list[int]) -> list[int]:
+    """The phi(n) power-basis numerators of the image of acc, a list of n
+    integers of Z[C_n], in Z[zeta_n]: each zeta^j with j >= phi(n) is read
+    from the table of x^j mod Phi_n."""
+    d, rows = _fold_table(n)
+    if len(acc) != n:
+        raise ValueError(f"Z[C_{n}] needs {n} integers, got {len(acc)}")
+    out = acc[:d]
+    for j, terms in rows:
+        c = acc[j]
+        if c:
+            for i, t in terms:
+                out[i] += c * t
+    return out
+
+
+def convolve(acc: list[int], p, q, sigma) -> list[int]:
+    """acc += p * sigma(q) in Z[C_n], for sigma = index_map(n, k); returns acc.
+    p and q are integer vectors of at most n entries, acc a list of n."""
     for pa, targets in zip(p, sigma):
         if pa:
             for t, qb in zip(targets, q):
                 acc[t] += pa * qb
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -172,18 +193,17 @@ class CycElt(Frozen):
     @staticmethod
     def from_group_ring(n: int, acc, den: int = 1) -> "CycElt":
         """The image (acc[0] + acc[1]*zeta + ... + acc[n-1]*zeta^(n-1)) / den
-        of a list of n integers of Z[C_n] over den > 0, canonical: each zeta^j
-        with j >= phi(n) is read from the table of x^j mod Phi_n."""
-        d, rows = _fold_table(n)
-        if len(acc) != n:
-            raise ValueError(f"Z[C_{n}] needs {n} integers, got {len(acc)}")
-        out = acc[:d]
-        for j, terms in rows:
-            c = acc[j]
-            if c:
-                for i, t in terms:
-                    out[i] += c * t
-        return CycElt._make(n, out, den)
+        of a list of n integers of Z[C_n] over den > 0, canonical: `fold`
+        gives its power-basis numerators."""
+        return CycElt._make(n, fold(n, acc), den)
+
+    @staticmethod
+    def from_numerators(n: int, num, den: int = 1) -> "CycElt":
+        """num/den from the phi(n) integer power-basis numerators num and den > 0,
+        canonical: what an element of the cyclic algebra keeps for each component."""
+        if len(num) != euler_phi(n):
+            raise ValueError(f"Q(zeta_{n}) needs {euler_phi(n)} numerators, got {len(num)}")
+        return CycElt._make(n, num, den)
 
     @staticmethod
     def from_K(p: int, q: int, den: int = 1) -> "CycElt":
@@ -331,12 +351,9 @@ class CycElt(Frozen):
     # -- the subfield K
 
     def trace_to_K(self) -> "CycElt":
-        """Trace a + a^sigma + a^sigma^2 from L = Q(zeta_7) to K = Q(sqrt(-7)),
-        read off the numerators: zeta^t traces to 3 for t = 0, to lambda for
-        t in {1, 2, 4} and to lambda_bar = -1 - lambda for t in {3, 5, 6}."""
+        """Trace a + a^sigma + a^sigma^2 from L = Q(zeta_7) to K = Q(sqrt(-7))."""
         self._require_mod7()
-        a0, a1, a2, a3, a4, a5 = self.num
-        return CycElt.from_K(3 * a0 - a3 - a5, a1 + a2 + a4 - a3 - a5, self.den)
+        return trace_to_K(self.num, self.den)
 
     def in_K(self) -> bool:
         """True when the element lies in the sigma-fixed subfield K (N = 7):
@@ -416,6 +433,14 @@ def _cos_2pi(n: int, i: int, prec: int) -> tuple[Fraction, Fraction]:
         term, err = term * a // step, -(-err * a // step) + 1
         k += 1
     return Fraction(total, 1 << w), Fraction(bound + err, 1 << w) + (pi.b - pi.a) * j / n
+
+
+def trace_to_K(num, den: int) -> CycElt:
+    """The trace from L = Q(zeta_7) to K of num/den, num its six power-basis
+    numerators, read off them: zeta^t traces to 3 for t = 0, to lambda for
+    t in {1, 2, 4} and to lambda_bar = -1 - lambda for t in {3, 5, 6}."""
+    a0, a1, a2, a3, a4, a5 = num
+    return CycElt.from_K(3 * a0 - a3 - a5, a1 + a2 + a4 - a3 - a5, den)
 
 
 # distinguished elements of L = Q(zeta_7), each computed once

@@ -12,13 +12,15 @@ identity classes' total weight and, for each distinct j, the integer vector
 of the weighted R(0) of the classes with that j, all over one denominator
 (6 groups for X/Gamma, 7 for X/Gamma~, whose six order-3 classes all have
 j = 1); each weight then costs one shift by jk and one add per group.  A
-Galois conjugate is a new dataset with its own form; of the conditions on a
-class, a unit can break only "no normal eigenvalue is 1", so conjugation
-checks that one alone.  No field inverse is taken: for w = zeta_n^e of
-order m, (1 - w) * sum_{t<m} t w^t = -m gives 1/(1 - w) in closed form,
-so R(0, k) is one product of two such elements.  The sum is tested for
-rationality first; only a sum that is not rational is conjugated, to word
-the error.
+dataset checks its fields when it is built: a str label, a modulus n >= 1,
+a tuple of classes, each j in 0..n-1 and each eigenvalue exponent in
+1..n-1.  A Galois conjugate is a new dataset with its own form, built
+without those checks; of the conditions on a class, a unit can break only
+"no normal eigenvalue is 1", so conjugation checks that one alone.  No
+field inverse is taken: for w = zeta_n^e of order m, (1 - w) *
+sum_{t<m} t w^t = -m gives 1/(1 - w) in closed form, so R(0, k) is one
+product of two such elements.  The sum is tested for rationality first;
+only a sum that is not rational is conjugated, to word the error.
 
 The classes are built from each quotient's singular points
 (`singularities.QUOTIENTS`): the identity class carries the quotient's Euler
@@ -75,6 +77,30 @@ class ClassDataset(Frozen):
 
     _fields = ("label", "cyclotomic_modulus", "classes")  # no __slots__, for cached_property
 
+    def __init__(self, label: str, cyclotomic_modulus: int,
+                 classes: tuple[FixedPointClass, ...]) -> None:
+        """Check the fields: each class's j must lie in 0..n-1 and its
+        eigenvalue exponents in 1..n-1 (zeta_n^0 = 1 raises `EigenvalueOne`)."""
+        if not isinstance(label, str):
+            raise TypeError(f"the label must be a str, not {type(label).__name__}")
+        _require_int(cyclotomic_modulus, "the cyclotomic modulus")
+        n = cyclotomic_modulus
+        if n < 1:
+            raise ValueError(f"the cyclotomic modulus must be at least 1, got {n}")
+        if not isinstance(classes, tuple):
+            raise TypeError(f"the classes must be a tuple of FixedPointClass, got {classes!r:.80}")
+        for c in classes:
+            if not isinstance(c, FixedPointClass):
+                raise TypeError(f"the classes must be a tuple of FixedPointClass, got {c!r:.80}")
+            if not 0 <= c.j < n:
+                raise ValueError(f"j = {c.j} is not an exponent of zeta_{n} in 0..{n - 1}")
+            for e in c.normal_eigenvalues:
+                if e % n == 0:
+                    raise EigenvalueOne("normal eigenvalue 1 makes R undefined")
+                if not 0 < e < n:
+                    raise ValueError(f"eigenvalue exponent {e} is not reduced to 1..{n - 1}")
+        super().__init__(label, n, classes)
+
     def conjugated(self, s: int) -> "ClassDataset":
         """Apply zeta -> zeta^s to every root of unity in the dataset; only the
         eigenvalue check is made again (module docstring)."""
@@ -89,7 +115,9 @@ class ClassDataset(Frozen):
                 raise EigenvalueOne("normal eigenvalue 1 makes R undefined")
             # tuple.__new__, as NamedTuple._make, skips `validated`'s __new__
             out.append(tuple.__new__(FixedPointClass, (r, w, j * s % n, m, eigenvalues)))
-        return ClassDataset(self.label, n, tuple(out))
+        conjugate = object.__new__(ClassDataset)  # the classes of valid data, not checked again
+        Frozen.__init__(conjugate, self.label, n, tuple(out))
+        return conjugate
 
     @cached_property
     def _weight_free_sum(self) -> tuple[int, int, tuple[tuple[int, tuple], ...]]:

@@ -137,8 +137,8 @@ class OrderBasis(Frozen):
         cols, scales = [], []
         for e in self.elements:
             for c in (e, e.scale(lam())):
-                (x0, x1, x2), d = c.numerators()
-                cols.append(x0 + x1 + x2)
+                v, d = c.numerators()
+                cols.append(v)
                 scales.append(d)
         try:
             inv, den = m3.integer_inverse([list(row) for row in zip(*cols)])
@@ -151,8 +151,7 @@ class OrderBasis(Frozen):
     def coordinates(self, x: AlgElt) -> list[CycElt]:
         """K-coordinates of x in this basis (9 entries, elements of K)."""
         rows, den = self._coordinate_solver
-        (x0, x1, x2), common = x.numerators()
-        rhs = x0 + x1 + x2
+        rhs, common = x.numerators()
         # p_k + q_k*lambda over den*common, canonicalised by from_K: so its den
         # is 1 exactly when p_k and q_k are integers, i.e. the coordinate is in o_K
         sol = [sum(map(operator.mul, row, rhs)) for row in rows]

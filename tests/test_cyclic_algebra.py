@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from ballquot import matrix3 as m3
-from ballquot.cyclic_algebra import (AlgElt, NotInvertible, NotIotaInvariant, b_element,
-                                     is_division_algebra)
+from ballquot.cyclic_algebra import (AlgElt, NotInL, NotInvertible, NotIotaInvariant,
+                                     b_element, is_division_algebra)
 from ballquot.cyclotomic import CycElt, alpha, lam, lam_bar, zeta7
 
 
@@ -97,3 +97,31 @@ def test_twisted_involution_rejects_a_bad_b():
         x.iota_b(AlgElt.zero())
     with pytest.raises(NotIotaInvariant):
         x.iota_b(AlgElt.u())
+
+
+@pytest.mark.parametrize("bad, kind", [(CycElt.zeta(21), "modulus 21"),
+                                       (CycElt.one(3), "modulus 3"), (1, "int"),
+                                       (Fraction(1, 2), "Fraction"), (None, "NoneType")],
+                         ids=["zeta21", "Q(zeta_3)", "int", "Fraction", "None"])
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_a_component_outside_L_is_refused_by_name(position, bad, kind):
+    parts = [zeta7(), lam(), lam_bar()]
+    parts[position] = bad
+    with pytest.raises(NotInL, match=f"^x{position} must be a CycElt of modulus 7, not {kind}$"):
+        AlgElt(*parts)
+    assert issubclass(NotInL, TypeError)
+
+
+def test_zeta_21_is_not_read_as_zeta_7():
+    # its first six numerators are those of zeta_7: unchecked, the kernel would take them as such
+    z = CycElt.zero(7)
+    with pytest.raises(NotInL, match="^x0 must be a CycElt of modulus 7, not modulus 21$"):
+        AlgElt(CycElt.zeta(21), z, z)
+
+
+@pytest.mark.parametrize("c, error", [(CycElt.one(21), NotInL), (0.5, TypeError),
+                                      (True, TypeError), ("2", TypeError)],
+                         ids=["Q(zeta_21)", "float", "bool", "str"])
+def test_scale_refuses_a_scalar_outside_L_and_Q(c, error):
+    with pytest.raises(error):
+        AlgElt.one().scale(c)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from ballquot import Frozen
 from ballquot import dimension as dim
 from ballquot.cli import main
 from ballquot.cyclotomic import CycElt
@@ -198,8 +199,14 @@ def test_each_dataset_builds_its_form_once_with_more_than_16_alive(monkeypatch):
 
 
 def test_conjugation_keeps_the_eigenvalue_check():
-    # 21 is not 0, but 21 * 5 is 0 mod 21: the conjugate would have eigenvalue 1
-    ds = dim.ClassDataset("x", 21, (dim.FixedPointClass(0, Fraction(1), 3, 7, (21, 9)),))
+    # 21 is not 0, but 21 * 5 is 0 mod 21: the conjugate would have eigenvalue 1.
+    # The constructor refuses the unreduced 21, so the dataset is built past its
+    # checks, as `conjugated` builds its own
+    bad = (dim.FixedPointClass(0, Fraction(1), 3, 7, (21, 9)),)
+    with pytest.raises(dim.EigenvalueOne, match="^normal eigenvalue 1 makes R undefined$"):
+        dim.ClassDataset("x", 21, bad)
+    ds = object.__new__(dim.ClassDataset)
+    Frozen.__init__(ds, "x", 21, bad)
     with pytest.raises(dim.EigenvalueOne, match="^normal eigenvalue 1 makes R undefined$"):
         ds.conjugated(5)
     for build in (dim.build_gamma_dataset, dim.build_gamma_tilde_dataset):
@@ -207,6 +214,50 @@ def test_conjugation_keeps_the_eigenvalue_check():
         for s in (s for s in range(1, 21) if math.gcd(s, 21) == 1):
             for c in base.conjugated(s).classes:
                 assert type(c) is dim.FixedPointClass and c == dim.FixedPointClass(*c)
+
+
+ISOLATED = dim.FixedPointClass(0, Fraction(1), 3, 7, (6, 18))
+
+
+@pytest.mark.parametrize("fields, error, message", [
+    ((b"x", 21, ()), TypeError, "^the label must be a str, not bytes$"),
+    (("x", 21.0, ()), TypeError, "^the cyclotomic modulus must be an int, not float$"),
+    (("x", True, ()), TypeError, "^the cyclotomic modulus must be an int, not bool$"),
+    (("x", 0, ()), ValueError, "^the cyclotomic modulus must be at least 1, got 0$"),
+    (("x", 21, [ISOLATED]), TypeError, "^the classes must be a tuple of FixedPointClass"),
+    (("x", 21, ((0, Fraction(1), 3, 7, (6, 18)),)), TypeError,
+     r"^the classes must be a tuple of FixedPointClass, got \(0, "),
+    (("x", 21, (ISOLATED._replace(j=21),)), ValueError, "^j = 21 is not an exponent"),
+    (("x", 21, (ISOLATED._replace(j=-1),)), ValueError, "^j = -1 is not an exponent"),
+    (("x", 21, (ISOLATED._replace(normal_eigenvalues=(21, 9)),)), dim.EigenvalueOne,
+     "^normal eigenvalue 1 makes R undefined$"),
+    (("x", 21, (ISOLATED._replace(normal_eigenvalues=(6, 25)),)), ValueError,
+     r"^eigenvalue exponent 25 is not reduced to 1\.\.20$"),
+    (("x", 21, (ISOLATED._replace(normal_eigenvalues=(-6, 18)),)), ValueError,
+     "^eigenvalue exponent -6 is not reduced to 1..20$"),
+], ids=["label", "float-modulus", "bool-modulus", "modulus-0", "list", "plain-tuple",
+        "j-21", "j-negative", "eigenvalue-21", "eigenvalue-25", "eigenvalue-negative"])
+def test_a_class_dataset_checks_its_fields(fields, error, message):
+    with pytest.raises(error, match=message):
+        dim.ClassDataset(*fields)
+
+
+def test_a_checked_dataset_hashes_and_evaluates():
+    g = dim.build_gamma_dataset()
+    same = dim.ClassDataset(g.label, g.cyclotomic_modulus, g.classes)
+    assert same == g and hash(same) == hash(g) and dim.dimension(same, 3) == 4
+    empty = dim.ClassDataset("x", 1, ())
+    assert hash(empty) == hash(dim.ClassDataset("x", 1, ()))
+
+
+def test_conjugation_builds_its_datasets_without_the_field_checks(monkeypatch):
+    g = dim.build_gamma_dataset()
+
+    def refuse(*args):
+        raise AssertionError("a conjugate ran the constructor's checks")
+
+    monkeypatch.setattr(dim.ClassDataset, "__init__", refuse)
+    assert [dim.dimension(g.conjugated(s), 3) for s in (1, 2, 5, 20)] == [4] * 4
 
 
 @pytest.mark.parametrize("value", [True, 3.0, Fraction(3), "3"],

@@ -17,7 +17,7 @@ from ballquot import lfunctions as lf
 from ballquot import matrix3 as m3
 from ballquot import order_arithmetic as oa
 from ballquot.cyclic_algebra import AlgElt, b_element
-from ballquot.cyclotomic import CycElt, lam, lam_bar, zeta7
+from ballquot.cyclotomic import CycElt, alpha, lam, lam_bar, zeta7
 from tests.test_properties import CASES, algebra_elements, reference_matrix
 
 ORDERS = (oa.OrderBasis.standard, oa.OrderBasis.iota_b_stable)
@@ -106,6 +106,63 @@ def test_the_kernel_with_zero_components_and_unequal_denominators():
                                                            reference_matrix(y))
             assert x.product_x0(y) == product.x0
     assert xs[0] * xs[3] == xs[3] * xs[0] == AlgElt.zero()
+
+
+# each vector kernel against its definition component by component, in CycElt arithmetic
+
+ZERO7 = CycElt.zero(7)
+# zero, or six small numerators over a denominator of its own
+sparse_field_elements = st.one_of(
+    st.just(ZERO7),
+    st.builds(lambda num, den: CycElt(7, [Fraction(a, den) for a in num]),
+              st.lists(st.integers(-4, 4), min_size=6, max_size=6), st.integers(1, 12)))
+sparse_algebra_elements = st.builds(AlgElt, sparse_field_elements, sparse_field_elements,
+                                    sparse_field_elements)
+
+
+def parts(x: AlgElt) -> tuple[CycElt, CycElt, CycElt]:
+    return x.x0, x.x1, x.x2
+
+
+def componentwise_product(xs, ys):
+    """x_i u^i * y_j u^j = x_i sigma^-i(y_j) u^(i+j), sigma^-1: zeta -> zeta^4, u^3 = alpha."""
+    out = [ZERO7] * 3
+    for i, xi in enumerate(xs):
+        for j, yj in enumerate(ys):
+            term = xi * yj.galois(pow(4, i, 7))
+            out[(i + j) % 3] += alpha() * term if i + j > 2 else term
+    return tuple(out)
+
+
+def componentwise_iota(xs):
+    x0, x1, x2 = xs
+    a = alpha().conjugate()
+    return x0.conjugate(), a * x2.galois(3), a * x1.galois(5)
+
+
+@CASES
+@given(sparse_algebra_elements, sparse_algebra_elements, sparse_field_elements,
+       st.sampled_from([Fraction(1), Fraction(-2, 3), Fraction(5, 4)]))
+def test_the_vector_kernels_are_their_componentwise_definitions(x, y, c, q):
+    b = b_element()
+    b_inverse = parts(b.inverse())
+    assert componentwise_product(parts(b), b_inverse) == parts(AlgElt.one())
+    want = {
+        "mul": (x * y, componentwise_product(parts(x), parts(y))),
+        "iota": (x.iota(), componentwise_iota(parts(x))),
+        "iota_b": (x.iota_b(b), componentwise_product(
+            componentwise_product(parts(b), componentwise_iota(parts(x))), b_inverse)),
+        "add": (x + y, tuple(s + t for s, t in zip(parts(x), parts(y)))),
+        "scale_L": (x.scale(c), tuple(c * a for a in parts(x))),
+        "scale_Q": (x.scale(q), tuple(a * q for a in parts(x))),
+    }
+    assert x.product_x0(y) == want["mul"][1][0]
+    for name, (r, components) in want.items():
+        # a kernel result equals and hashes like the element built from its components
+        rebuilt = AlgElt(*parts(r))
+        assert r == rebuilt and rebuilt == r and hash(r) == hash(rebuilt), name
+        assert parts(r) == components, name
+        assert r == AlgElt(*components) and hash(r) == hash(AlgElt(*components)), name
 
 
 def test_the_algebra_kernel_makes_no_field_product_or_galois_map(monkeypatch):

@@ -125,6 +125,27 @@ def test_a_cold_report_inverts_one_field_element_the_rational_3():
     assert out.splitlines()[-1] == repr([CycElt.rational(7, 3)])
 
 
+def test_importing_the_algebra_and_the_report_makes_no_element_and_no_kernel_call():
+    """Import time builds no field element, no algebra element and calls no
+    kernel: work moved there would hide in a benchmark's set-up time."""
+    out = run_cold("import gc\n"
+                   "from ballquot import cyclotomic as cy\n"
+                   "calls = []\n"
+                   "def spy(name, f):\n"
+                   "    def wrapped(*args, **kwargs):\n"
+                   "        calls.append(name)\n"
+                   "        return f(*args, **kwargs)\n"
+                   "    return wrapped\n"
+                   "cy.CycElt._store = spy('CycElt', cy.CycElt._store)\n"  # every constructor
+                   "cy.convolve = spy('convolve', cy.convolve)\n"
+                   "cy.fold = spy('fold', cy.fold)\n"
+                   "from ballquot import cyclic_algebra, order_arithmetic, report\n"
+                   "kept = [type(o).__name__ for o in gc.get_objects()\n"
+                   "        if isinstance(o, (cy.CycElt, cyclic_algebra.AlgElt))]\n"
+                   "print(calls, kept)\n")
+    assert out.splitlines()[-1] == "[] []"
+
+
 def test_the_order_layers_load_no_input_layer():
     out = run_cold("import sys\n"
                    "import ballquot.order_arithmetic\n"

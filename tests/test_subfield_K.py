@@ -136,7 +136,7 @@ def test_the_order_layer_runs_without_galois_maps(monkeypatch):
 
 def fresh_numerators(x: ca.AlgElt):
     den = lcm(x.x0.den, x.x1.den, x.x2.den)
-    return tuple(tuple(a * (den // c.den) for a in c.num) for c in (x.x0, x.x1, x.x2)), den
+    return tuple(a * (den // c.den) for c in (x.x0, x.x1, x.x2) for a in c.num), den
 
 
 @CASES
@@ -145,7 +145,7 @@ def test_kept_numerators_are_a_fresh_computation_and_change_no_comparison(x0, x1
     x, twin = ca.AlgElt(x0, x1, x2), ca.AlgElt(x0, x1, x2)
     before = (hash(x), repr(x))
     assert x.numerators() == fresh_numerators(x)
-    assert x.numerators() is x.numerators()
+    assert x.numerators()[0] is x.numerators()[0]  # the kept vector, not a rebuilt one
     assert (hash(x), repr(x)) == before == (hash(twin), repr(twin))
     assert x == twin and twin == x
-    assert "_numerators" not in repr(x)
+    assert "_v" not in repr(x) and "_d" not in repr(x)
