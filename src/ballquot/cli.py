@@ -26,7 +26,7 @@ GROUPS = ("gamma", "gamma_tilde")
 
 def _cmd_volume(args) -> int:
     from . import lfunctions as lf
-    chi = lf.DirichletCharacter.kronecker(-7)
+    chi = lf.DirichletCharacter(-7)
     print(lf.covolume(lf.riemann_zeta(2), lf.dirichlet_L_value(3, chi),
                       local_factors(load_config(args.config))))
     return 0
@@ -36,7 +36,7 @@ def _cmd_lvalue(args) -> int:
     if args.weight > MAX_WEIGHT or args.terms > MAX_TERMS:
         raise ConfigError(f"need --weight <= {MAX_WEIGHT} and --terms <= {MAX_TERMS}")
     from . import lfunctions as lf
-    chi = lf.DirichletCharacter.kronecker(-7)
+    chi = lf.DirichletCharacter(-7)
     val = lf.dirichlet_L_value(args.weight, chi)
     lines = [str(val)]
     if args.numeric:  # computed in full before anything is printed

@@ -14,8 +14,8 @@ Products, `scale` and `iota` sum in Z[C_7] through `cyclotomic.convolve`,
 whose index map b -> k*b mod 7 is each Galois map they need; alpha and
 conj(alpha) enter as integer vectors over 2.  Each result component is
 folded by `cyclotomic.fold`, and one gcd canonicalises the vector.  x0, x1,
-x2 are `CycElt`s read off the vector when first asked for (`to_matrix`,
-`str`, `repr`).
+x2 are `CycElt`s read off the vector on each read (`to_matrix`, `str`,
+`repr`).
 """
 
 from __future__ import annotations
@@ -44,23 +44,16 @@ class NotInL(TypeError):
 class AlgElt(Frozen):
     """x0 + x1*u + x2*u^2 with xi in L = Q(zeta_7), held as one integer vector."""
 
-    _fields = ("_v", "_d")  # the 18 numerators over their denominator: `==` and `hash`
-    __slots__ = _fields + ("x0", "x1", "x2")  # the components, set when first read
+    __slots__ = _fields = ("_v", "_d")  # the 18 numerators over their denominator, gcd 1
 
     def __init__(self, x0: CycElt, x1: CycElt, x2: CycElt) -> None:
-        parts = [_require_L(c, name) for name, c in zip(AlgElt.__slots__[2:], (x0, x1, x2))]
+        parts = [_require_L(c, name) for name, c in zip(("x0", "x1", "x2"), (x0, x1, x2))]
         d = lcm(x0.den, x1.den, x2.den)  # with each part canonical, the gcd is 1
-        v = tuple([a * (d // c.den) for c in parts for a in c.num])
-        for name, value in zip(AlgElt.__slots__, (v, d, *parts)):
-            object.__setattr__(self, name, value)
+        super().__init__(tuple([a * (d // c.den) for c in parts for a in c.num]), d)
 
-    def __getattr__(self, name: str) -> CycElt:
-        """x0, x1 and x2 of a kernel result, read off the vector at the first read of one."""
-        if name not in AlgElt.__slots__[2:]:
-            raise AttributeError(name)
-        for part, i in zip(AlgElt.__slots__[2:], (0, 6, 12)):
-            object.__setattr__(self, part, CycElt.from_numerators(7, self._v[i:i + 6], self._d))
-        return getattr(self, name)
+    # x0, x1 and x2, built from the vector on each read: no caller reads one twice
+    x0, x1, x2 = (property(lambda self, i=i: CycElt.from_numerators(7, self._v[i:i + 6], self._d))
+                  for i in (0, 6, 12))
 
     def __repr__(self) -> str:
         return f"AlgElt(x0={self.x0!r}, x1={self.x1!r}, x2={self.x2!r})"

@@ -15,8 +15,7 @@ j = 1); each weight then costs one shift by jk and one add per group.  A
 dataset checks its fields when it is built: a str label, a modulus n >= 1,
 a tuple of classes, each j in 0..n-1 and each eigenvalue exponent in
 1..n-1.  A Galois conjugate is a new dataset with its own form, built
-without those checks; of the conditions on a class, a unit can break only
-"no normal eigenvalue is 1", so conjugation checks that one alone.  No
+without those checks: a unit s mod n keeps each exponent in 1..n-1.  No
 field inverse is taken: for w = zeta_n^e of order m, (1 - w) *
 sum_{t<m} t w^t = -m gives 1/(1 - w) in closed form, so R(0, k) is one
 product of two such elements.  The sum is tested for rationality first;
@@ -95,15 +94,15 @@ class ClassDataset(Frozen):
             if not 0 <= c.j < n:
                 raise ValueError(f"j = {c.j} is not an exponent of zeta_{n} in 0..{n - 1}")
             for e in c.normal_eigenvalues:
-                if e % n == 0:
-                    raise EigenvalueOne("normal eigenvalue 1 makes R undefined")
                 if not 0 < e < n:
+                    if e % n == 0:
+                        raise EigenvalueOne("normal eigenvalue 1 makes R undefined")
                     raise ValueError(f"eigenvalue exponent {e} is not reduced to 1..{n - 1}")
         super().__init__(label, n, classes)
 
     def conjugated(self, s: int) -> "ClassDataset":
-        """Apply zeta -> zeta^s to every root of unity in the dataset; only the
-        eigenvalue check is made again (module docstring)."""
+        """Apply zeta -> zeta^s to every root of unity in the dataset, with no
+        check made again (module docstring)."""
         _require_int(s, "the Galois exponent s")
         n = self.cyclotomic_modulus
         if math.gcd(s, n) != 1:
@@ -111,8 +110,6 @@ class ClassDataset(Frozen):
         out = []
         for r, w, j, m, eigenvalues in self.classes:
             eigenvalues = tuple([e * s % n for e in eigenvalues])
-            if 0 in eigenvalues:
-                raise EigenvalueOne("normal eigenvalue 1 makes R undefined")
             # tuple.__new__, as NamedTuple._make, skips `validated`'s __new__
             out.append(tuple.__new__(FixedPointClass, (r, w, j * s % n, m, eigenvalues)))
         conjugate = object.__new__(ClassDataset)  # the classes of valid data, not checked again

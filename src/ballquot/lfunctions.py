@@ -1,10 +1,11 @@
 """Exact special values of Dirichlet L-functions and the covolume formula.
 
-A real character chi_d takes its values from the Kronecker symbol (d|n),
-whose odd prime factors come from Euler's criterion.  The generalized
-Bernoulli number B_{n,chi} is one sum over Bernoulli numbers and powers of
-the residues, and gives closed forms for L(n, chi) at parity-matching
-positive integers, zeta(n) being L(n, chi_0).  The covolume of the
+A real character is its fundamental discriminant d, and any other d is
+refused; it takes its values from the Kronecker symbol (d|n), whose odd
+prime factors come from Euler's criterion.  The generalized Bernoulli
+number B_{n,chi} is one sum over Bernoulli numbers and powers of the
+residues, and gives closed forms for L(n, chi) at parity-matching positive
+integers, zeta(n) being L(n, chi_0).  The covolume of the
 principal arithmetic group is assembled symbolically; all powers of pi
 cancel and the result is an exact rational.
 """
@@ -76,32 +77,31 @@ def kronecker_symbol(d: int, n: int) -> int:
 
 @validated
 class DirichletCharacter(NamedTuple):
-    """A real character mod f, stored by its values on units."""
+    """The real primitive character chi_d(m) = (d|m) mod f = |d| of a
+    fundamental discriminant d, or the trivial character mod 1 for d = 1:
+    d = 1 mod 4 squarefree, or d = 4m with m = 2, 3 mod 4 squarefree."""
 
-    modulus: int
-    values: dict[int, int]
+    discriminant: int
 
     def __post_init__(self):
-        for a, v in self.values.items():
-            if math.gcd(a, self.modulus) != 1 or v not in (1, -1):
-                raise ValueError("values must be +-1 on units")
+        d = self.discriminant
+        if isinstance(d, bool) or not isinstance(d, int):
+            raise TypeError(f"the discriminant must be an int, not {type(d).__name__}")
+        # d = m with m = 1 mod 4, or d = 4m with m = 2, 3 mod 4; m squarefree
+        m = d if d % 4 == 1 else d // 4 if d % 4 == 0 and d // 4 % 4 in (2, 3) else 0
+        if m == 0 or any(e > 1 for e in factor_int(m).values()):
+            raise ValueError(f"d = {d} is neither 1 nor a fundamental discriminant")
 
-    @staticmethod
-    def kronecker(fundamental_discriminant: int) -> "DirichletCharacter":
-        d = fundamental_discriminant
-        f = abs(d)
-        vals = {a: kronecker_symbol(d, a) for a in range(1, f + 1)
-                if math.gcd(a, f) == 1}
-        return DirichletCharacter(f, vals)
+    @property
+    def modulus(self) -> int:
+        return abs(self.discriminant)
 
     def __call__(self, m: int) -> int:
-        if self.modulus == 1:
-            return 1
-        r = m % self.modulus
-        return self.values.get(r, 0)
+        # the residue of m in 1..f: (d|f) is 0 for f > 1, and (1|1) is 1
+        return kronecker_symbol(self.discriminant, m % self.modulus or self.modulus)
 
     def is_odd(self) -> bool:
-        return self(-1) == -1
+        return self.discriminant < 0
 
 
 def generalized_bernoulli(n: int, chi: DirichletCharacter) -> Fraction:
@@ -111,8 +111,9 @@ def generalized_bernoulli(n: int, chi: DirichletCharacter) -> Fraction:
     if n < 1:
         raise ValueError("n must be >= 1")
     f = chi.modulus
+    signs = [(a, chi(a)) for a in range(1, f + 1)]  # chi read once per call, not per term
     return sum(math.comb(n, k) * bernoulli_number(k) * Fraction(f) ** (k - 1)
-               * sum(chi(a) * a ** (n - k) for a in range(1, f + 1))
+               * sum(c * a ** (n - k) for a, c in signs)
                for k in range(n + 1))
 
 
@@ -132,7 +133,7 @@ def riemann_zeta(n: int) -> SymbolicReal:
     """zeta(n) = L(n, chi_0) for even n >= 2, chi_0 the trivial character mod 1."""
     if n < 2 or n % 2:
         raise ParityMismatch("only positive even arguments have this closed form")
-    return dirichlet_L_value(n, DirichletCharacter(1, {}))
+    return dirichlet_L_value(n, DirichletCharacter(1))
 
 
 def dirichlet_L_value(n: int, chi: DirichletCharacter) -> SymbolicReal:

@@ -309,7 +309,7 @@ def torsion_orders() -> TorsionReport:
 def congruence_index(residue_field_size: int, algebra_degree: int) -> int:
     """Index [M^(1) : M^(1)(pi_D)] = (q^d - 1)/(q - 1)."""
     q, d = residue_field_size, algebra_degree
-    if q < 2 or d < 1:
+    if q < 2 or d < 1 or len(_factor_int(q)) != 1:
         raise ValueError("need a prime power q >= 2 and degree d >= 1")
     return (q ** d - 1) // (q - 1)
 

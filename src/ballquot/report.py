@@ -135,7 +135,7 @@ def run_all(config_path: str | None = None) -> VerificationReport:
             return str(e)
 
     # number-theoretic pipeline
-    chi7 = lf.DirichletCharacter.kronecker(-7)
+    chi7 = lf.DirichletCharacter(-7)
     r.add("bernoulli_b3_chi7", "generalized Bernoulli number for the quadratic character mod 7",
           Fraction(48, 7), lf.generalized_bernoulli(3, chi7))
     lval = lf.dirichlet_L_value(3, chi7)

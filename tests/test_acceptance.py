@@ -18,7 +18,7 @@ from ballquot.cyclic_algebra import is_division_algebra
 from ballquot.hermitian import H_b, H_c, standard_basis
 from ballquot.symreal import SymbolicReal
 
-CHI = lf.DirichletCharacter.kronecker(-7)
+CHI = lf.DirichletCharacter(-7)
 LOCAL = {"2": Fraction(3), "7": Fraction(1)}
 
 

@@ -201,14 +201,14 @@ def test_each_dataset_builds_its_form_once_with_more_than_16_alive(monkeypatch):
 def test_conjugation_keeps_the_eigenvalue_check():
     # 21 is not 0, but 21 * 5 is 0 mod 21: the conjugate would have eigenvalue 1.
     # The constructor refuses the unreduced 21, so the dataset is built past its
-    # checks, as `conjugated` builds its own
+    # checks, as `conjugated` builds its own; `dimension` then refuses the conjugate
     bad = (dim.FixedPointClass(0, Fraction(1), 3, 7, (21, 9)),)
     with pytest.raises(dim.EigenvalueOne, match="^normal eigenvalue 1 makes R undefined$"):
         dim.ClassDataset("x", 21, bad)
     ds = object.__new__(dim.ClassDataset)
     Frozen.__init__(ds, "x", 21, bad)
     with pytest.raises(dim.EigenvalueOne, match="^normal eigenvalue 1 makes R undefined$"):
-        ds.conjugated(5)
+        dim.dimension(ds.conjugated(5), 2)
     for build in (dim.build_gamma_dataset, dim.build_gamma_tilde_dataset):
         base = build()
         for s in (s for s in range(1, 21) if math.gcd(s, 21) == 1):

@@ -19,7 +19,7 @@ def test_bernoulli_numbers():
 
 
 def test_kronecker_symbol_is_the_quadratic_character_mod_seven():
-    chi = lf.DirichletCharacter.kronecker(-7)
+    chi = lf.DirichletCharacter(-7)
     assert chi.modulus == 7
     assert [chi(m) for m in range(7)] == [0, 1, 1, -1, 1, -1, -1]
     assert chi.is_odd()
@@ -39,7 +39,7 @@ def test_kronecker_symbol_refuses_n_below_one(n):
 @pytest.mark.parametrize("d", [-3, -4, -7, -8, 5, 8, 12, -20, None])
 def test_generalized_bernoulli_agrees_with_the_sympy_sum_over_residues(d):
     # None is the trivial character mod 1, whose B_{n,chi} is B_n(1)
-    chi = lf.DirichletCharacter(1, {}) if d is None else lf.DirichletCharacter.kronecker(d)
+    chi = lf.DirichletCharacter(1 if d is None else d)
     f = chi.modulus
     for n in range(1, 13):
         want = sympy.Integer(f) ** (n - 1) * sum(
@@ -49,7 +49,7 @@ def test_generalized_bernoulli_agrees_with_the_sympy_sum_over_residues(d):
 
 
 def test_generalized_bernoulli_number():
-    chi = lf.DirichletCharacter.kronecker(-7)
+    chi = lf.DirichletCharacter(-7)
     assert lf.generalized_bernoulli(3, chi) == Fraction(48, 7)
     # B_{1,chi} = -h(-7) = -1 for this character
     assert lf.generalized_bernoulli(1, chi) == -1
@@ -74,27 +74,67 @@ def test_zeta_outside_the_positive_even_arguments_is_a_parity_mismatch(n):
 
 
 def test_l_value_closed_form():
-    chi = lf.DirichletCharacter.kronecker(-7)
+    chi = lf.DirichletCharacter(-7)
     val = lf.dirichlet_L_value(3, chi)
     assert val == SymbolicReal.term(Fraction(32, 2401), 3, 1)
 
 
 def test_l_value_parity_guard():
-    chi = lf.DirichletCharacter.kronecker(-7)
+    chi = lf.DirichletCharacter(-7)
     with pytest.raises(lf.ParityMismatch):
         lf.dirichlet_L_value(2, chi)
 
 
 def test_series_oracle_agrees_with_closed_form():
-    chi = lf.DirichletCharacter.kronecker(-7)
-    val = lf.dirichlet_L_value(3, chi)
-    series, tail = lf.l_series_oracle(3, chi, 200000)
-    assert abs(float(val.to_float()) - series) <= tail
+    # -7, -4 and 28 are the fundamental discriminants whose sqrt(|d|) the
+    # symbolic ring can write, besides 1; each at every parity-matching n
+    cases = [(-7, 3)] + [(-4, n) for n in (3, 5, 7, 9)] + [(28, n) for n in (2, 4, 6, 8)]
+    for d, n in cases:
+        chi = lf.DirichletCharacter(d)
+        val = lf.dirichlet_L_value(n, chi)
+        series, tail = lf.l_series_oracle(n, chi, 200000)
+        assert abs(float(val.to_float()) - series) <= tail, (d, n)
+
+
+def is_fundamental_discriminant(d):
+    """The definition: d = 1 mod 4 and squarefree, or d = 4m with m = 2, 3 mod 4
+    and m squarefree."""
+    def squarefree(m):
+        return m != 0 and all(m % (p * p) for p in range(2, abs(m) + 1))
+    if d % 4 == 1:
+        return squarefree(d)
+    return d % 4 == 0 and (d // 4) % 4 in (2, 3) and squarefree(d // 4)
+
+
+def test_a_character_is_accepted_for_exactly_the_fundamental_discriminants():
+    accepted = set()
+    for d in range(-200, 201):
+        try:
+            chi = lf.DirichletCharacter(d)
+        except ValueError as error:
+            assert str(error) == f"d = {d} is neither 1 nor a fundamental discriminant"
+            continue
+        assert (chi.discriminant, chi.modulus, chi.is_odd()) == (d, abs(d), d < 0)
+        accepted.add(d)
+    assert accepted == {d for d in range(-200, 201) if is_fundamental_discriminant(d)}
+    assert {-7, -4, -3, 1, 5, 8, 28} <= accepted
+
+
+@pytest.mark.parametrize("d", [-28, -63, 0, 4, -1])
+def test_a_discriminant_that_is_not_fundamental_is_refused(d):
+    with pytest.raises(ValueError, match=f"^d = {d} is neither 1 nor a fundamental discriminant$"):
+        lf.DirichletCharacter(d)
+
+
+@pytest.mark.parametrize("d", [-7.0, True, "-7", None])
+def test_a_discriminant_that_is_not_an_int_is_a_type_error(d):
+    with pytest.raises(TypeError, match="^the discriminant must be an int, not "):
+        lf.DirichletCharacter(d)
 
 
 def test_printed_constant_disagrees_with_series():
     # regression guard: the printed closed form has the wrong magnitude and sign
-    chi = lf.DirichletCharacter.kronecker(-7)
+    chi = lf.DirichletCharacter(-7)
     printed = SymbolicReal.term(Fraction(-7, 392), 3, 1)
     series, tail = lf.l_series_oracle(3, chi, 10000)
     assert abs(float(printed.to_float()) - series) > 1000 * tail
@@ -104,7 +144,7 @@ def test_printed_constant_disagrees_with_series():
                                          (-7, 7, 12345), (-7, 9, 10), (-4, 3, 999),
                                          (5, 2, 5000), (1, 2, 777)])
 def test_the_series_oracle_is_bit_equal_to_the_sum_term_by_term(d, n, terms):
-    chi = lf.DirichletCharacter.kronecker(d)
+    chi = lf.DirichletCharacter(d)
     f = chi.modulus
     period = [chi(r) for r in range(f)]
     by_term = math.fsum(period[m % f] / m ** n for m in range(1, terms + 1))
@@ -114,7 +154,7 @@ def test_the_series_oracle_is_bit_equal_to_the_sum_term_by_term(d, n, terms):
 
 
 def test_covolume_is_exactly_rational():
-    chi = lf.DirichletCharacter.kronecker(-7)
+    chi = lf.DirichletCharacter(-7)
     local = {"2": Fraction(3), "7": Fraction(1)}
     vol = lf.covolume(lf.riemann_zeta(2), lf.dirichlet_L_value(3, chi), local)
     assert vol == Fraction(3, 7)
@@ -128,14 +168,14 @@ def test_covolume_with_printed_constant_gives_wrong_rational():
 
 
 def test_covolume_refuses_a_zeta_value_whose_pi_power_does_not_cancel():
-    chi = lf.DirichletCharacter.kronecker(-7)
+    chi = lf.DirichletCharacter(-7)
     local = {"2": Fraction(3), "7": Fraction(1)}
     with pytest.raises(NotRational):
         lf.covolume(lf.riemann_zeta(4), lf.dirichlet_L_value(3, chi), local)
 
 
 def test_covolume_doubles_with_a_local_factor():
-    chi = lf.DirichletCharacter.kronecker(-7)
+    chi = lf.DirichletCharacter(-7)
     z2, l3 = lf.riemann_zeta(2), lf.dirichlet_L_value(3, chi)
     vol = lf.covolume(z2, l3, {"2": Fraction(3), "7": Fraction(1)})
     assert lf.covolume(z2, l3, {"2": Fraction(3), "7": Fraction(2)}) == 2 * vol

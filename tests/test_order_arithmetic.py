@@ -209,6 +209,13 @@ def test_congruence_index():
     assert oa.congruence_index(2, 3) == 7
     assert oa.congruence_index(3, 3) == 13
     assert oa.congruence_index(2, 1) == 1
+    assert oa.congruence_index(4, 3) == 21 and oa.congruence_index(49, 2) == 50
+
+
+@pytest.mark.parametrize("q", [6, 12, 15, 1, 0, -4])
+def test_congruence_index_refuses_a_q_that_is_not_a_prime_power(q):
+    with pytest.raises(ValueError, match="^need a prime power q >= 2 and degree d >= 1$"):
+        oa.congruence_index(q, 3)
 
 
 def test_torsion_orders():
