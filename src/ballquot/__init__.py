@@ -26,23 +26,22 @@ def factor_int(n: int) -> dict[int, int]:
     return factors
 
 
-def validated(cls):
-    """Make constructing the NamedTuple `cls`, or a subclass, call `__post_init__`."""
-    make = cls.__new__
-    def __new__(kind, *args, **kwargs):
-        self = make(kind, *args, **kwargs)
-        self.__post_init__()
-        return self
-    cls.__new__ = staticmethod(__new__)
-    return cls
+def _require_int(value, what: str) -> None:
+    """Refuse anything but an int (a bool or a float included), naming its type."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an int, not {type(value).__name__}")
 
 
 class Frozen:
-    """Base of an immutable record (`CycElt`, `SymbolicReal`, `AlgElt`,
-    `OrderBasis`, `ClassDataset`): `__init__` sets the fields named in
-    `_fields` once; equality, hash and repr are by field values.  `AlgElt`'s
-    fields are its integer vector and denominator, and its repr shows the
-    components x0, x1, x2 instead."""
+    """Base of an immutable record: `__init__` sets the fields named in
+    `_fields` once; equality, hash and repr are by field values, and a record
+    equals only a record of its own class, never a tuple.  A record that
+    checks its fields is a `Frozen` whose `__init__` checks them before it
+    sets them (`CycElt`, `SymbolicReal`, `AlgElt`, `OrderBasis`,
+    `ClassDataset`, `CyclicSingularity`, `KodairaFiber`, `HermMatrix`,
+    `DirichletCharacter`); a NamedTuple checks nothing.  `AlgElt`'s fields
+    are its integer vector and denominator, and its repr shows the components
+    x0, x1, x2 instead."""
 
     __slots__ = ()
 

@@ -9,11 +9,12 @@ audited.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import validated
+from . import Frozen
 
 
 class Ambiguous(ValueError):
@@ -103,18 +104,17 @@ def kodaira_classify(s: SurfaceInvariants) -> tuple[int, dict[int, str]]:
 # ---------------------------------------------------------------------------
 # elliptic fibrations
 
-@validated
-class KodairaFiber(NamedTuple):
-    kind: str                 # "I_n" with n >= 1, or "smooth"
-    multiplicity: int = 1
-    components: tuple[str, ...] = ()
+class KodairaFiber(Frozen):
+    __slots__ = _fields = ("kind", "multiplicity", "components")
 
-    def __post_init__(self):
-        if self.kind != "smooth":
-            if not (self.kind.startswith("I_") and int(self.kind[2:]) >= 1):
-                raise ValueError(f"unsupported fiber kind {self.kind}")
-        if self.multiplicity < 1:
+    def __init__(self, kind: str, multiplicity: int = 1, components: tuple[str, ...] = ()) -> None:
+        # n in "I_n" is plain ASCII decimal: int() would also take a sign, spaces,
+        # leading zeros and other scripts' digits
+        if kind != "smooth" and not (isinstance(kind, str) and re.fullmatch("I_[1-9][0-9]*", kind)):
+            raise ValueError(f"unsupported fiber kind {kind}")
+        if multiplicity < 1:
             raise ValueError("multiplicity must be >= 1")
+        super().__init__(kind, multiplicity, components)
 
     def euler(self) -> int:
         if self.kind == "smooth":

@@ -13,12 +13,12 @@ of the weighted R(0) of the classes with that j, all over one denominator
 (6 groups for X/Gamma, 7 for X/Gamma~, whose six order-3 classes all have
 j = 1); each weight then costs one shift by jk and one add per group.  A
 dataset checks its fields when it is built: a str label, a modulus n >= 1,
-a tuple of classes, each j in 0..n-1 and each eigenvalue exponent in
-1..n-1.  A Galois conjugate is a new dataset with its own form, built
-without those checks: a unit s mod n keeps each exponent in 1..n-1.  No
-field inverse is taken: for w = zeta_n^e of order m, (1 - w) *
-sum_{t<m} t w^t = -m gives 1/(1 - w) in closed form, so R(0, k) is one
-product of two such elements.  The sum is tested for rationality first;
+a tuple of classes, each of a valid shape and order, each j in 0..n-1 and
+each eigenvalue exponent in 1..n-1.  A Galois conjugate is a new dataset
+with its own form, built without those checks: a unit s mod n keeps each
+exponent in 1..n-1.  No field inverse is taken: for w = zeta_n^e of order
+m, (1 - w) * sum_{t<m} t w^t = -m gives 1/(1 - w) in closed form, so R(0, k)
+is one product of two such elements.  The sum is tested for rationality first;
 only a sum that is not rational is conjugated, to word the error.
 
 The classes are built from each quotient's singular points
@@ -36,7 +36,7 @@ from functools import cache, cached_property
 from typing import NamedTuple
 
 from . import singularities as sg
-from . import Frozen, validated
+from . import Frozen, _require_int
 from .cyclotomic import CycElt
 
 
@@ -48,26 +48,14 @@ class NotAnInteger(ValueError):
     pass
 
 
-@validated
 class FixedPointClass(NamedTuple):
-    """`j` and `normal_eigenvalues` are exponents e of zeta_N^e, reduced mod N."""
+    """`j` and `normal_eigenvalues` are exponents e of zeta_N^e, reduced mod N;
+    checked by the `ClassDataset` that holds the class."""
     r: int
     virtual_euler: Fraction
     j: int
     m: int
     normal_eigenvalues: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.r not in (0, 2):
-            raise ValueError("fixed set dimension must be 0 or 2")
-        if self.r == 2 and (self.normal_eigenvalues or self.j != 0):
-            raise ValueError("a 2-dimensional fixed set has no normal data and j = 1")
-        if self.r == 0 and len(self.normal_eigenvalues) != 2:
-            raise ValueError("an isolated fixed point carries exactly 2 eigenvalues")
-        if 0 in self.normal_eigenvalues:
-            raise EigenvalueOne("normal eigenvalue 1 makes R undefined")
-        if self.m < 1:
-            raise ValueError("class order must be positive")
 
 
 class ClassDataset(Frozen):
@@ -78,7 +66,8 @@ class ClassDataset(Frozen):
 
     def __init__(self, label: str, cyclotomic_modulus: int,
                  classes: tuple[FixedPointClass, ...]) -> None:
-        """Check the fields: each class's j must lie in 0..n-1 and its
+        """Check the fields: each class's shape (r = 0 with two eigenvalues, or
+        r = 2 with none and j = 0), its order m >= 1, its j in 0..n-1 and its
         eigenvalue exponents in 1..n-1 (zeta_n^0 = 1 raises `EigenvalueOne`)."""
         if not isinstance(label, str):
             raise TypeError(f"the label must be a str, not {type(label).__name__}")
@@ -91,6 +80,14 @@ class ClassDataset(Frozen):
         for c in classes:
             if not isinstance(c, FixedPointClass):
                 raise TypeError(f"the classes must be a tuple of FixedPointClass, got {c!r:.80}")
+            if c.r not in (0, 2):
+                raise ValueError("fixed set dimension must be 0 or 2")
+            if c.r == 2 and (c.normal_eigenvalues or c.j != 0):
+                raise ValueError("a 2-dimensional fixed set has no normal data and j = 1")
+            if c.r == 0 and len(c.normal_eigenvalues) != 2:
+                raise ValueError("an isolated fixed point carries exactly 2 eigenvalues")
+            if c.m < 1:
+                raise ValueError("class order must be positive")
             if not 0 <= c.j < n:
                 raise ValueError(f"j = {c.j} is not an exponent of zeta_{n} in 0..{n - 1}")
             for e in c.normal_eigenvalues:
@@ -110,7 +107,7 @@ class ClassDataset(Frozen):
         out = []
         for r, w, j, m, eigenvalues in self.classes:
             eigenvalues = tuple([e * s % n for e in eigenvalues])
-            # tuple.__new__, as NamedTuple._make, skips `validated`'s __new__
+            # tuple.__new__ for speed: FixedPointClass(...) and _make each add a Python call
             out.append(tuple.__new__(FixedPointClass, (r, w, j * s % n, m, eigenvalues)))
         conjugate = object.__new__(ClassDataset)  # the classes of valid data, not checked again
         Frozen.__init__(conjugate, self.label, n, tuple(out))
@@ -140,12 +137,6 @@ class ClassDataset(Frozen):
             for i, a in enumerate(R.num):
                 acc[i] += scale * a
         return den, identity, tuple((j, tuple(acc) * 2) for j, acc in groups.items())
-
-
-def _require_int(value, what: str) -> None:
-    """Refuse anything but an int (a bool or a float included), naming its type."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{what} must be an int, not {type(value).__name__}")
 
 
 def _inverse_of_one_minus(n: int, e: int) -> CycElt:

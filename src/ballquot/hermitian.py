@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from . import matrix3 as m3, validated
+from . import Frozen, matrix3 as m3
 from .cyclotomic import CycElt, zeta7
 from .cyclic_algebra import AlgElt, NotIotaInvariant, b_element
 
@@ -23,13 +23,13 @@ class Signature(NamedTuple):
     zeros: int
 
 
-@validated
-class HermMatrix(NamedTuple):
-    entries: m3.Mat
+class HermMatrix(Frozen):
+    __slots__ = _fields = ("entries",)  # m3.Mat
 
-    def __post_init__(self):
-        if m3.conj_transpose(self.entries) != self.entries:
+    def __init__(self, entries: m3.Mat) -> None:
+        if m3.conj_transpose(entries) != entries:
             raise NotHermitian("matrix does not equal its conjugate transpose")
+        super().__init__(entries)
 
     @staticmethod
     def from_alg_elt(b: AlgElt) -> "HermMatrix":

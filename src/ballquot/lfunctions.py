@@ -17,9 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, repeat
 from operator import truediv
-from typing import NamedTuple
 
-from . import factor_int, validated
+from . import Frozen, _require_int, factor_int
 from .symreal import SymbolicReal, NotRational
 
 
@@ -75,22 +74,21 @@ def kronecker_symbol(d: int, n: int) -> int:
     return acc
 
 
-@validated
-class DirichletCharacter(NamedTuple):
+class DirichletCharacter(Frozen):
     """The real primitive character chi_d(m) = (d|m) mod f = |d| of a
     fundamental discriminant d, or the trivial character mod 1 for d = 1:
     d = 1 mod 4 squarefree, or d = 4m with m = 2, 3 mod 4 squarefree."""
 
-    discriminant: int
+    __slots__ = _fields = ("discriminant",)
 
-    def __post_init__(self):
-        d = self.discriminant
-        if isinstance(d, bool) or not isinstance(d, int):
-            raise TypeError(f"the discriminant must be an int, not {type(d).__name__}")
+    def __init__(self, discriminant: int) -> None:
+        d = discriminant
+        _require_int(d, "the discriminant")
         # d = m with m = 1 mod 4, or d = 4m with m = 2, 3 mod 4; m squarefree
         m = d if d % 4 == 1 else d // 4 if d % 4 == 0 and d // 4 % 4 in (2, 3) else 0
         if m == 0 or any(e > 1 for e in factor_int(m).values()):
             raise ValueError(f"d = {d} is neither 1 nor a fundamental discriminant")
+        super().__init__(d)
 
     @property
     def modulus(self) -> int:
@@ -120,13 +118,14 @@ def generalized_bernoulli(n: int, chi: DirichletCharacter) -> Fraction:
 # ---------------------------------------------------------------------------
 # special values
 
-def _sqrt_as_symbolic(f: int) -> SymbolicReal:
-    """sqrt(f) as a SymbolicReal, for f = r^2 or f = 7 r^2."""
+def _sqrt_of_modulus(chi: DirichletCharacter) -> SymbolicReal:
+    """sqrt(f) as a SymbolicReal, for f = r^2 or f = 7 r^2: f = 1, 4, 7 or 28."""
+    f = chi.modulus
     for root in (0, 1):
         r = math.isqrt(f // 7 ** root)
         if r * r * 7 ** root == f:
             return SymbolicReal.term(r, 0, root)
-    raise ValueError(f"sqrt({f}) is outside the symbolic coefficient ring")
+    raise ValueError(f"d = {chi.discriminant}: sqrt({f}) is outside the symbolic coefficient ring")
 
 
 def riemann_zeta(n: int) -> SymbolicReal:
@@ -147,10 +146,11 @@ def dirichlet_L_value(n: int, chi: DirichletCharacter) -> SymbolicReal:
         raise ValueError("n must be >= 1")
     if (chi.is_odd() and n % 2 == 0) or (not chi.is_odd() and n % 2 == 1):
         raise ParityMismatch("chi(-1) must equal (-1)^n")
+    root = _sqrt_of_modulus(chi)  # refuses the character before B_{n,chi} is computed
     f = chi.modulus
     b = abs(generalized_bernoulli(n, chi))
     mag = SymbolicReal.term(Fraction(2 ** n, f ** n) * b / (2 * math.factorial(n)), n, 0)
-    return mag * _sqrt_as_symbolic(f)
+    return mag * root
 
 
 def l_series_oracle(n: int, chi: DirichletCharacter, terms: int) -> tuple[float, float]:

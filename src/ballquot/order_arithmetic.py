@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import NamedTuple
 
-from . import Frozen, factor_int as _factor_int, matrix3 as m3
+from . import Frozen, _require_int, factor_int as _factor_int, matrix3 as m3
 from .cyclotomic import CycElt, euler_phi, lam, lam_bar
 from .cyclic_algebra import AlgElt, b_element
 
@@ -307,8 +307,10 @@ def torsion_orders() -> TorsionReport:
 
 
 def congruence_index(residue_field_size: int, algebra_degree: int) -> int:
-    """Index [M^(1) : M^(1)(pi_D)] = (q^d - 1)/(q - 1)."""
+    """Index [M^(1) : M^(1)(pi_D)] = (q^d - 1)/(q - 1), for int q and d."""
     q, d = residue_field_size, algebra_degree
+    _require_int(q, "the residue field size q")
+    _require_int(d, "the algebra degree d")
     if q < 2 or d < 1 or len(_factor_int(q)) != 1:
         raise ValueError("need a prime power q >= 2 and degree d >= 1")
     return (q ** d - 1) // (q - 1)

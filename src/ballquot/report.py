@@ -210,8 +210,8 @@ def run_all(config_path: str | None = None) -> VerificationReport:
           sg.hj_expand(c73).self_intersections)
     r.add("hj_3_2", "resolution chain of the (3,2) point", (-2, -2),
           sg.hj_expand(c32).self_intersections)
-    r.add("rotation_type", "singularity type of the order-7 rotation", (7, 3),
-          tuple(sg.singularity_type_from_rotation(7, 1, 3)))
+    rot = sg.singularity_type_from_rotation(7, 1, 3)
+    r.add("rotation_type", "singularity type of the order-7 rotation", (7, 3), (rot.n, rot.q))
     r.add("dedekind_s_3_7", "Dedekind sum s(3,7)", Fraction(-1, 14), sg.dedekind_sum(3, 7))
     r.add("dedekind_s_2_3", "Dedekind sum s(2,3)", Fraction(-1, 18), sg.dedekind_sum(2, 3))
     r.add("defect_7_3", "signature defect of a (7,3) point", Fraction(2, 7),

@@ -21,21 +21,20 @@ from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
-from . import validated
+from . import Frozen
 
 
 class NotPrimitive(ValueError):
     pass
 
 
-@validated
-class CyclicSingularity(NamedTuple):
-    n: int
-    q: int
+class CyclicSingularity(Frozen):
+    __slots__ = _fields = ("n", "q")
 
-    def __post_init__(self):
-        if self.n < 2 or not (1 <= self.q < self.n) or math.gcd(self.n, self.q) != 1:
-            raise ValueError(f"({self.n},{self.q}) is not a valid cyclic type")
+    def __init__(self, n: int, q: int) -> None:
+        if n < 2 or not (1 <= q < n) or math.gcd(n, q) != 1:
+            raise ValueError(f"({n},{q}) is not a valid cyclic type")
+        super().__init__(n, q)
 
 
 class HJChain(NamedTuple):

@@ -188,6 +188,12 @@ def test_cli_resolve(capsys):
     assert capsys.readouterr().out.strip() == "(-3)(-2)(-2)"
 
 
+def test_cli_resolve_refuses_a_type_that_is_not_cyclic(capsys):
+    assert main(["resolve", "7", "7"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "(7,7) is not a valid cyclic type" in err
+
+
 def test_cli_dims(capsys):
     assert main(["dims", "--group", "gamma", "--weight", "3"]) == 0
     assert capsys.readouterr().out.strip() == "4"

@@ -82,10 +82,9 @@ def test_R_coefficient_for_the_identity():
 
 
 def test_R_coefficient_rejects_eigenvalue_one():
-    # an eigenvalue exponent of 0 fails when the class is built, at no weight
     for eigenvalues in ((0, 3), (6, 0)):
         with pytest.raises(dim.EigenvalueOne):
-            dim.FixedPointClass(0, Fraction(1), 12, 7, eigenvalues)
+            dim.R_coefficient(0, 2, 7, eigenvalues)
 
 
 def test_dimension_rejects_non_integral_data():
@@ -235,8 +234,14 @@ ISOLATED = dim.FixedPointClass(0, Fraction(1), 3, 7, (6, 18))
      r"^eigenvalue exponent 25 is not reduced to 1\.\.20$"),
     (("x", 21, (ISOLATED._replace(normal_eigenvalues=(-6, 18)),)), ValueError,
      "^eigenvalue exponent -6 is not reduced to 1..20$"),
+    (("x", 21, (dim.FixedPointClass(0, Fraction(1), 12, 7, (0, 3)),)), dim.EigenvalueOne,
+     "^normal eigenvalue 1 makes R undefined$"),
+    (("x", 21, (dim.FixedPointClass(r=1, virtual_euler=Fraction(1), j=0, m=1,
+                                    normal_eigenvalues=()),)), ValueError,
+     "^fixed set dimension must be 0 or 2$"),
 ], ids=["label", "float-modulus", "bool-modulus", "modulus-0", "list", "plain-tuple",
-        "j-21", "j-negative", "eigenvalue-21", "eigenvalue-25", "eigenvalue-negative"])
+        "j-21", "j-negative", "eigenvalue-21", "eigenvalue-25", "eigenvalue-negative",
+        "eigenvalue-0", "r-1"])
 def test_a_class_dataset_checks_its_fields(fields, error, message):
     with pytest.raises(error, match=message):
         dim.ClassDataset(*fields)

@@ -96,6 +96,18 @@ def test_series_oracle_agrees_with_closed_form():
         assert abs(float(val.to_float()) - series) <= tail, (d, n)
 
 
+@pytest.mark.parametrize("d", [-3, 5, -8, 8, 12])
+def test_a_character_whose_root_is_not_symbolic_is_refused_before_any_bernoulli_sum(
+        d, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("B_{n,chi} was computed for a character the closed form refuses")
+
+    monkeypatch.setattr(lf, "generalized_bernoulli", refuse)
+    n = 3 if d < 0 else 2  # chi(-1) = (-1)^n
+    with pytest.raises(ValueError, match=rf"^d = {d}: sqrt\({abs(d)}\) is outside the symbolic "):
+        lf.dirichlet_L_value(n, lf.DirichletCharacter(d))
+
+
 def is_fundamental_discriminant(d):
     """The definition: d = 1 mod 4 and squarefree, or d = 4m with m = 2, 3 mod 4
     and m squarefree."""

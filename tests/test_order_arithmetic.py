@@ -218,6 +218,13 @@ def test_congruence_index_refuses_a_q_that_is_not_a_prime_power(q):
         oa.congruence_index(q, 3)
 
 
+@pytest.mark.parametrize("q, d, kind", [(4.0, 3, "float"), (2, 3.0, "float"), (True, 3, "bool"),
+                                        (2, True, "bool"), (Fraction(2), 3, "Fraction")])
+def test_congruence_index_refuses_a_q_or_d_that_is_not_an_int(q, d, kind):
+    with pytest.raises(TypeError, match=f"must be an int, not {kind}$"):
+        oa.congruence_index(q, d)
+
+
 def test_torsion_orders():
     rep = oa.torsion_orders()
     assert rep.allowed_orders == frozenset({1, 7})

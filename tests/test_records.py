@@ -1,6 +1,7 @@
-"""The package's immutable records: NamedTuples for plain and validated data,
-slotted classes for the three with arithmetic, and the class sum of the
-dimension formula against its direct expression."""
+"""The package's immutable records: NamedTuples for plain data, `Frozen`
+records for data that checks its fields in its constructor and for the
+three with arithmetic, and the class sum of the dimension formula against
+its direct expression."""
 
 import math
 from fractions import Fraction
@@ -129,11 +130,12 @@ def test_a_subclass_of_a_validated_record_runs_its_own_check():
     seen = []
 
     class Watched(sg.CyclicSingularity):
-        def __post_init__(self):
-            seen.append(tuple(self))
-            super().__post_init__()
+        def __init__(self, n, q):
+            seen.append((n, q))
+            super().__init__(n, q)
 
-    assert Watched(5, 2) == (5, 2) and seen == [(5, 2)]
+    w = Watched(5, 2)
+    assert (w.n, w.q) == (5, 2) and seen == [(5, 2)]
     with pytest.raises(ValueError):
         Watched(6, 2)
     assert seen == [(5, 2), (6, 2)]
@@ -142,12 +144,9 @@ def test_a_subclass_of_a_validated_record_runs_its_own_check():
 @pytest.mark.parametrize("build, error, message", [
     (lambda: sg.CyclicSingularity(7, 7), ValueError, "(7,7) is not a valid cyclic type"),
     (lambda: sg.CyclicSingularity(n=1, q=1), ValueError, "(1,1) is not a valid cyclic type"),
-    (lambda: dim.FixedPointClass(0, Fraction(1), 12, 7, (0, 3)), dim.EigenvalueOne,
-     "normal eigenvalue 1 makes R undefined"),
-    (lambda: dim.FixedPointClass(r=1, virtual_euler=Fraction(1), j=0, m=1,
-                                 normal_eigenvalues=()), ValueError,
-     "fixed set dimension must be 0 or 2"),
     (lambda: cl.KodairaFiber("II"), ValueError, "unsupported fiber kind II"),
+    *((lambda kind=kind: cl.KodairaFiber(kind), ValueError, f"unsupported fiber kind {kind}")
+      for kind in ("I_x", "I_ 3", "I_+3", "I_03", "I_\u0663", "I_0", "I_")),
     (lambda: cl.KodairaFiber("I_2", 0), ValueError, "multiplicity must be >= 1"),
     (lambda: hm.HermMatrix(ca.AlgElt.u().to_matrix()), hm.NotHermitian,
      "matrix does not equal its conjugate transpose"),
@@ -156,6 +155,23 @@ def test_validated_records_raise_as_before(build, error, message):
     with pytest.raises(error) as info:
         build()
     assert str(info.value) == message
+
+
+CHECKED = {
+    "CyclicSingularity": lambda: sg.CyclicSingularity(7, 3),
+    "KodairaFiber": lambda: cl.KodairaFiber("I_3", 1, ("a", "b", "c")),
+    "HermMatrix": hm.H_b,
+    "DirichletCharacter": lambda: lf.DirichletCharacter(-7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKED))
+def test_a_checked_record_is_not_a_tuple(name):
+    x, same = CHECKED[name](), CHECKED[name]()
+    fields = tuple(getattr(x, field) for field in x._fields)
+    assert not isinstance(x, tuple)
+    assert x != fields and fields != x
+    assert x is not same and x == same and hash(x) == hash(same)
 
 
 def test_records_with_a_mapping_get_their_own_mapping():
