@@ -1,6 +1,8 @@
 """Exact-arithmetic toolkit for a family of arithmetic ball-quotient surfaces."""
 
 import os
+from math import gcd
+from operator import attrgetter
 
 __version__ = "1.0.0"
 
@@ -32,18 +34,33 @@ def _require_int(value, what: str) -> None:
         raise TypeError(f"{what} must be an int, not {type(value).__name__}")
 
 
+def _lowest_terms(num, den: int) -> tuple[tuple[int, ...], int]:
+    """The integers num over den > 0 as a tuple and a denominator, divided by their gcd."""
+    num = tuple(num)
+    g = gcd(den, *num)
+    return (num, den) if g == 1 else (tuple([a // g for a in num]), den // g)
+
+
 class Frozen:
     """Base of an immutable record: `__init__` sets the fields named in
     `_fields` once; equality, hash and repr are by field values, and a record
-    equals only a record of its own class, never a tuple.  A record that
-    checks its fields is a `Frozen` whose `__init__` checks them before it
-    sets them (`CycElt`, `SymbolicReal`, `AlgElt`, `OrderBasis`,
-    `ClassDataset`, `CyclicSingularity`, `KodairaFiber`, `HermMatrix`,
-    `DirichletCharacter`); a NamedTuple checks nothing.  `AlgElt`'s fields
-    are its integer vector and denominator, and its repr shows the components
-    x0, x1, x2 instead."""
+    equals only a record of its own class, never a tuple.  `==` and `hash`
+    read the fields through one `operator.attrgetter` per class, `_key`, set
+    when the class is made.  A record that checks its fields is a `Frozen`
+    whose `__init__` checks them before it sets them (`CycElt`,
+    `SymbolicReal`, `AlgElt`, `OrderBasis`, `ClassDataset`,
+    `CyclicSingularity`, `KodairaFiber`, `HermMatrix`, `DirichletCharacter`);
+    a NamedTuple checks nothing.  Three builders skip the check, as their
+    inputs are valid by construction: `CycElt._make`,
+    `cyclic_algebra._canonical` and `ClassDataset.conjugated`.  `AlgElt`'s
+    fields are its integer vector and denominator, and its repr shows the
+    components x0, x1, x2 instead."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._key = attrgetter(*cls._fields)
 
     def __init__(self, *values) -> None:
         for name, value in zip(self._fields, values, strict=True):
@@ -57,10 +74,10 @@ class Frozen:
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self._fields)
+        return self._key(self) == self._key(other)
 
     def __hash__(self) -> int:
-        return hash(tuple(getattr(self, name) for name in self._fields))
+        return hash(self._key(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

@@ -14,7 +14,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import Frozen
+from . import Frozen, _require_int
 
 
 class Ambiguous(ValueError):
@@ -112,8 +112,14 @@ class KodairaFiber(Frozen):
         # leading zeros and other scripts' digits
         if kind != "smooth" and not (isinstance(kind, str) and re.fullmatch("I_[1-9][0-9]*", kind)):
             raise ValueError(f"unsupported fiber kind {kind}")
+        _require_int(multiplicity, "multiplicity")
         if multiplicity < 1:
             raise ValueError("multiplicity must be >= 1")
+        if not isinstance(components, tuple):
+            raise TypeError(f"components must be a tuple of str, not {type(components).__name__}")
+        for c in components:
+            if not isinstance(c, str):
+                raise TypeError(f"a fiber component must be a str, not {type(c).__name__}")
         super().__init__(kind, multiplicity, components)
 
     def euler(self) -> int:

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, lru_cache
-from math import gcd, lcm
+from math import lcm
 
-from . import Frozen, matrix3 as m3
+from . import Frozen, _lowest_terms, matrix3 as m3
 from .cyclotomic import (CycElt, alpha, convolve, fold, index_map, lam, lam_bar,
                          lambda_valuation, trace_to_K)
 
@@ -168,9 +168,10 @@ def _require_L(c, what: str) -> CycElt:
 
 def _canonical(v: list[int], d: int) -> AlgElt:
     """The element with numerators v over d > 0, both divided by their gcd."""
-    g, x = gcd(d, *v), object.__new__(AlgElt)
-    object.__setattr__(x, "_v", tuple(v) if g == 1 else tuple([a // g for a in v]))
-    object.__setattr__(x, "_d", d // g)
+    v, d = _lowest_terms(v, d)
+    x = object.__new__(AlgElt)
+    object.__setattr__(x, "_v", v)
+    object.__setattr__(x, "_d", d)
     return x
 
 

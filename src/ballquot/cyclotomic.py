@@ -49,7 +49,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from math import gcd, lcm
 
-from . import Frozen
+from . import Frozen, _lowest_terms
 from .symreal import Interval, exact, pi_interval
 
 
@@ -150,35 +150,25 @@ class CycElt(Frozen):
     __slots__ = _fields = ("modulus", "num", "den")
 
     def __init__(self, modulus: int, coeffs) -> None:
-        coeffs = [exact(c) for c in coeffs]  # over the least common denominator
+        coeffs = [exact(c) for c in coeffs]
+        # over the least common denominator of reduced fractions the gcd is already 1
         den = lcm(1, *(c.denominator for c in coeffs))
-        num = [c.numerator * (den // c.denominator) for c in coeffs]
+        num = tuple([c.numerator * (den // c.denominator) for c in coeffs])
         if len(num) != euler_phi(modulus):
             raise ValueError(f"Q(zeta_{modulus}) needs {euler_phi(modulus)} coefficients, "
                              f"got {len(num)}")
-        self._set(modulus, num, den)
+        super().__init__(modulus, num, den)
 
     @classmethod
     def _make(cls, n: int, num, den: int = 1) -> "CycElt":
-        """The element num/den from integers, den > 0, in canonical form."""
+        """The element num/den from integers, den > 0, in lowest terms."""
+        num, den = _lowest_terms(num, den)
         self = object.__new__(cls)
-        self._set(n, num, den)
-        return self
-
-    def _set(self, n: int, num, den: int) -> None:
-        num = tuple(num)
-        g = gcd(den, *num)
-        if g != 1:
-            num = tuple([a // g for a in num])
-            den //= g
-        self._store(n, num, den)
-
-    def _store(self, n: int, num: tuple[int, ...], den: int) -> None:
-        """Set the fields from numerators and a denominator already canonical."""
         setter = object.__setattr__
         setter(self, "modulus", n)
         setter(self, "num", num)
         setter(self, "den", den)
+        return self
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -209,14 +199,8 @@ class CycElt(Frozen):
     def from_K(p: int, q: int, den: int = 1) -> "CycElt":
         """(p + q*lambda) / den in Q(zeta_7) for integers p, q and den > 0:
         lambda = zeta + zeta^2 + zeta^4 has no zeta^6 term, so the power-basis
-        numerators are (p, q, q, 0, q, 0) with nothing to fold, canonical
-        once p, q and den are divided by their gcd."""
-        g = gcd(den, p, q)
-        if g != 1:
-            p, q, den = p // g, q // g, den // g
-        self = object.__new__(CycElt)
-        self._store(7, (p, q, q, 0, q, 0), den)
-        return self
+        numerators are (p, q, q, 0, q, 0) with nothing to fold."""
+        return CycElt._make(7, (p, q, q, 0, q, 0), den)
 
     @staticmethod
     def zero(n: int) -> "CycElt":

@@ -1,9 +1,9 @@
 """Cyclic quotient singularities: resolution chains, defects, and heights.
 
 A point of type (n,q) resolves into a Hirzebruch-Jung chain of rational
-curves read off from the continued fraction of n/q.  Dedekind sums give the
-signature defect of each point; Euler and signature heights of an orbifold
-surface then behave multiplicatively under coverings.  The branch-data
+curves read off from the continued fraction of n/q.  Dedekind sums, read off
+the same chain, give the signature defect of each point; Euler and signature
+heights of an orbifold surface then behave multiplicatively under coverings.  The branch-data
 solver inverts them: a complete search, bounded by the Euler budget, for the
 extra quotient points that meet both height targets.
 
@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
-from . import Frozen
+from . import Frozen, _require_int
 
 
 class NotPrimitive(ValueError):
@@ -32,6 +32,8 @@ class CyclicSingularity(Frozen):
     __slots__ = _fields = ("n", "q")
 
     def __init__(self, n: int, q: int) -> None:
+        _require_int(n, "n")
+        _require_int(q, "q")
         if n < 2 or not (1 <= q < n) or math.gcd(n, q) != 1:
             raise ValueError(f"({n},{q}) is not a valid cyclic type")
         super().__init__(n, q)
@@ -93,16 +95,16 @@ def singularity_type_from_rotation(n: int, a: int, b: int) -> CyclicSingularity:
 
 
 def dedekind_sum(q: int, n: int) -> Fraction:
-    """s(q, n) = sum over k = 1 .. n-1 of ((k/n)) ((kq/n)), in Euclid's steps by
-    reciprocity: s(q, n) = -s(n mod q, q) - 1/4 + (q/n + n/q + 1/(nq))/12
-    for 0 < q < n, and s(0, 1) = 0."""
+    """s(q, n) = sum over k = 1 .. n-1 of ((k/n)) ((kq/n)), read off the
+    Hirzebruch-Jung chain of n/q (q taken mod n): 12 s(q, n) = (q + q*)/n +
+    sum of (b_i - 3) over the chain entries b_i, with q* = q^-1 mod n
+    (Hirzebruch and Zagier, The Atiyah-Singer Theorem and Elementary Number
+    Theory, 1974); s(0, 1) = 0 has the empty chain."""
     if n < 1 or math.gcd(q, n) != 1:
         raise ValueError("need n >= 1 and gcd(q,n) = 1")
-    total, sign, q = Fraction(0), 1, q % n
-    while q:
-        total += sign * (Fraction(q * q + n * n + 1, 12 * q * n) - Fraction(1, 4))
-        sign, n, q = -sign, q, n % q
-    return total
+    q %= n
+    runs = sum((b - 3) * count for b, count in _hj_runs(n, q))
+    return Fraction(q + pow(q, -1, n) + n * runs, 12 * n)
 
 
 def signature_defect(s: CyclicSingularity) -> Fraction:

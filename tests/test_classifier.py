@@ -67,8 +67,6 @@ def test_fiber_euler_numbers():
 
 
 def test_fibration_euler_check():
-    fibers = [cl.KodairaFiber("I_3", 1, (f"c{i}{j}" for i in "x" for j in "abc"))
-              for _ in range(4)]
     fibers = [cl.KodairaFiber("I_3", 1, (f"f{k}a", f"f{k}b", f"f{k}c"))
               for k in range(4)]
     assert cl.fibration_euler_check(fibers, Fraction(12))

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import gcd
+from math import gcd, prod
 
 import pytest
 import sympy
@@ -13,7 +13,7 @@ from ballquot import matrix3 as m3
 from ballquot import order_arithmetic as oa
 from ballquot import singularities as sg
 from ballquot.cyclic_algebra import AlgElt, b_element
-from ballquot.cyclotomic import CycElt, alpha, lam, lam_bar, lambda_valuation
+from ballquot.cyclotomic import CycElt, alpha, euler_phi, lam, lam_bar, lambda_valuation
 from ballquot.hermitian import H_b, HermMatrix
 from ballquot.symreal import ONE, SymbolicReal
 
@@ -36,6 +36,24 @@ def field_elements(draw):
 def algebra_elements(draw):
     return AlgElt(draw(field_elements()), draw(field_elements()),
                   draw(field_elements()))
+
+
+# any fraction, zero more often, for the constructor's lowest terms
+coefficients = st.one_of(st.just(Fraction(0)),
+                         st.fractions(min_value=-40, max_value=40, max_denominator=36))
+
+
+@CASES
+@given(st.sampled_from((7, 21)), st.lists(coefficients, min_size=12, max_size=12))
+def test_an_element_built_from_fractions_is_in_lowest_terms(n, coeffs):
+    """`CycElt(n, coeffs)` takes no gcd: over the lcm of the reduced
+    denominators the numerators already have gcd 1 with it."""
+    coeffs = coeffs[:euler_phi(n)]
+    a = CycElt(n, coeffs)
+    assert a.den > 0 and gcd(a.den, *a.num) == 1
+    den = prod(c.denominator for c in coeffs)  # a common denominator, not the least
+    b = CycElt.from_numerators(n, [c.numerator * (den // c.denominator) for c in coeffs], den)
+    assert a == b and hash(a) == hash(b)
 
 
 @CASES

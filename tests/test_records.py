@@ -148,6 +148,17 @@ def test_a_subclass_of_a_validated_record_runs_its_own_check():
     *((lambda kind=kind: cl.KodairaFiber(kind), ValueError, f"unsupported fiber kind {kind}")
       for kind in ("I_x", "I_ 3", "I_+3", "I_03", "I_\u0663", "I_0", "I_")),
     (lambda: cl.KodairaFiber("I_2", 0), ValueError, "multiplicity must be >= 1"),
+    *((lambda m=m: cl.KodairaFiber("I_3", m, ("a", "b", "c")), TypeError,
+       f"multiplicity must be an int, not {type(m).__name__}") for m in (1.5, True, "2")),
+    (lambda: cl.KodairaFiber("I_3", 1, ["a", "b", "c"]), TypeError,
+     "components must be a tuple of str, not list"),
+    (lambda: cl.KodairaFiber("I_3", 1, (c for c in "abc")), TypeError,
+     "components must be a tuple of str, not generator"),
+    (lambda: cl.KodairaFiber("I_3", 1, ("a", 2, "c")), TypeError,
+     "a fiber component must be a str, not int"),
+    (lambda: sg.CyclicSingularity(7, True), TypeError, "q must be an int, not bool"),
+    (lambda: sg.CyclicSingularity(7.0, 3), TypeError, "n must be an int, not float"),
+    (lambda: sg.CyclicSingularity(7, Fraction(3)), TypeError, "q must be an int, not Fraction"),
     (lambda: hm.HermMatrix(ca.AlgElt.u().to_matrix()), hm.NotHermitian,
      "matrix does not equal its conjugate transpose"),
 ])
