@@ -35,7 +35,10 @@ def _require_int(value, what: str) -> None:
 
 
 def _lowest_terms(num, den: int) -> tuple[tuple[int, ...], int]:
-    """The integers num over den > 0 as a tuple and a denominator, divided by their gcd."""
+    """The integers num over den > 0 as a tuple and a denominator, divided by
+    their gcd; a den <= 0 is refused, as no canonical form has one."""
+    if den <= 0:
+        raise ValueError(f"the denominator den must be positive, got {den}")
     num = tuple(num)
     g = gcd(den, *num)
     return (num, den) if g == 1 else (tuple([a // g for a in num]), den // g)
@@ -51,7 +54,8 @@ class Frozen:
     `SymbolicReal`, `AlgElt`, `OrderBasis`, `ClassDataset`,
     `CyclicSingularity`, `KodairaFiber`, `HermMatrix`, `DirichletCharacter`);
     a NamedTuple checks nothing.  Three builders skip the check, as their
-    inputs are valid by construction: `CycElt._make`,
+    inputs are valid by construction: `CycElt._set`, which sets a field
+    element's three slots for `_make` and `from_K`,
     `cyclic_algebra._canonical` and `ClassDataset.conjugated`.  `AlgElt`'s
     fields are its integer vector and denominator, and its repr shows the
     components x0, x1, x2 instead."""

@@ -12,10 +12,15 @@ x2 over one positive denominator, gcd 1.  `==`, `hash`, sums, the reduced
 trace and `numerators()`, the order layer's input, read it as it is.
 Products, `scale` and `iota` sum in Z[C_7] through `cyclotomic.convolve`,
 whose index map b -> k*b mod 7 is each Galois map they need; alpha and
-conj(alpha) enter as integer vectors over 2.  Each result component is
-folded by `cyclotomic.fold`, and one gcd canonicalises the vector.  x0, x1,
-x2 are `CycElt`s read off the vector on each read (`to_matrix`, `str`,
-`repr`).
+conj(alpha) enter as integer vectors over 2.  A product lays its sums out as
+5 x 7 slots, by u-degree i + j and then by slot of Z[C_7], and makes one
+kernel call per nonzero x_i: with all of y's numerators (for `product_x0`,
+those of the y_j with i + j = 0 mod 3) and a cached table whose slots hold
+both sigma^-i and the u-degree.  At most two more calls multiply the sums
+of u-degree 3 and 4 by alpha, as u^3 = alpha.
+Each result component is folded by `cyclotomic.fold`, and one gcd
+canonicalises the vector.  x0, x1, x2 are `CycElt`s read off the vector on
+each read (`to_matrix`, `str`, `repr`).
 """
 
 from __future__ import annotations
@@ -192,24 +197,37 @@ def _twists() -> tuple[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]]
     return tuple((c.num, c.den) for c in (a, a.conjugate()))
 
 
+@cache
+def _product_table(i: int, components) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
+    """(start, stop, rows) for x_i's terms of a product with the given components,
+    (0, 1, 2) or (0,): y's vector meets x_i in its numerators start..stop-1, those
+    of the y_j with (i + j) mod 3 a component, and row a sends numerator b of y_j
+    to slot 7*(i + j) + sigma^-i(a, b) of the 5 x 7 sums by u-degree i + j."""
+    js = range(3) if len(components) == 3 else [(components[0] - i) % 3]
+    sigma = _SIGMA_INV[i]
+    rows = tuple(tuple(7 * (i + j) + sigma[a][b] for j in js for b in range(6))
+                 for a in range(6))
+    return 6 * js[0], 6 * js[-1] + 6, rows
+
+
 def _product(x: AlgElt, y: AlgElt, components) -> tuple[list[list[int]], int]:
     """The given components of x * y in Z[C_7] over one denominator: x_i u^i * y_j u^j =
     x_i y_j^(sigma^-i) u^(i+j), u^3 = alpha, so component m sums the terms with
-    i + j = m, plus alpha times those with i + j = m + 3."""
-    ys = [(j, q) for j, q in enumerate(_parts(y)) if any(q)]
-    sums = [[0] * 7 for _ in range(5)]  # by i + j
+    i + j = m, plus alpha times those with i + j = m + 3.  Each nonzero x_i is one
+    kernel call, whose table reads both sigma^-i and the u-degree."""
+    v, sums = y._v, [0] * 35  # 7 slots of Z[C_7] for each u-degree i + j < 5
     for i, p in enumerate(_parts(x)):
         if any(p):
-            for j, q in ys:
-                if (i + j) % 3 in components:
-                    convolve(sums[i + j], p, q, _SIGMA_INV[i])
-    if not any(sums[3]) and not any(sums[4]):  # no term reaches u^3 = alpha
-        return [sums[m] for m in components], x._d * y._d
+            start, stop, table = _product_table(i, components)
+            convolve(sums, p, v[start:stop], table)
+    if not any(sums[21:]):  # no term reaches u^3 = alpha
+        return [sums[7 * m:7 * m + 7] for m in components], x._d * y._d
     (num, t), accs = _twists()[0], []
     for m in components:
-        accs.append([t * a for a in sums[m]])
-        if m < 2 and any(sums[m + 3]):
-            convolve(accs[-1], num, sums[m + 3], _SIGMA_INV[0])  # sigma^0 is the identity
+        accs.append([t * a for a in sums[7 * m:7 * m + 7]])
+        wrap = sums[7 * m + 21:7 * m + 28]
+        if any(wrap):  # empty for m = 2
+            convolve(accs[-1], num, wrap, _SIGMA_INV[0])  # sigma^0 is the identity
     return accs, t * x._d * y._d
 
 

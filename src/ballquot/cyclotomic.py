@@ -20,12 +20,14 @@ table of x^j mod Phi_N, and `CycElt.from_group_ring` canonicalises what it
 gives (`CycElt.from_numerators` canonicalises numerators given directly).
 A product is one kernel call with k = 1, a Galois map one call with p = 1,
 and the cyclic algebra over Q(zeta_7) computes on its integer vectors with
-the same kernel and the same fold.  An inverse is c/(a*c) for c the product
-of the other phi(N) - 1 Galois conjugates, a*c being the rational norm;
-that suffices, as a process makes one or two, each of the rational
-nrd(b) = 3.  The sign of a real element is exact: `interval` encloses its
-value between two `Fraction`s, from cosine series in scaled integers and
-`symreal.pi_interval`.
+the same kernel and the same fold: its product makes one call per
+component x_i, through a table whose slots hold both sigma^-i and the
+u-degree, of which `index_map(7, k)` is the 7-slot case.  An inverse is
+c/(a*c) for c the product of the other phi(N) - 1 Galois conjugates, a*c
+being the rational norm; that suffices, as a process makes one or two,
+each of the rational nrd(b) = 3.  The sign of a real element is exact:
+`interval` encloses its value between two `Fraction`s, from cosine series
+in scaled integers and `symreal.pi_interval`.
 
 N = 7 carries the core field L = Q(zeta_7) with its quadratic subfield
 K = Q(sqrt(-7)); N = 21 is used for mixed order-3/order-7 fixed point data.
@@ -132,8 +134,9 @@ def fold(n: int, acc: list[int]) -> list[int]:
 
 
 def convolve(acc: list[int], p, q, sigma) -> list[int]:
-    """acc += p * sigma(q) in Z[C_n], for sigma = index_map(n, k); returns acc.
-    p and q are integer vectors of at most n entries, acc a list of n."""
+    """acc += p[a] * q[b] at slot sigma[a][b] for every a and b; returns acc.
+    For sigma = index_map(n, k) that is acc += p * sigma_k(q) in Z[C_n], with p
+    and q integer vectors of at most n entries and acc a list of n."""
     for pa, targets in zip(p, sigma):
         if pa:
             for t, qb in zip(targets, q):
@@ -163,6 +166,12 @@ class CycElt(Frozen):
     def _make(cls, n: int, num, den: int = 1) -> "CycElt":
         """The element num/den from integers, den > 0, in lowest terms."""
         num, den = _lowest_terms(num, den)
+        return cls._set(n, num, den)
+
+    @classmethod
+    def _set(cls, n: int, num: tuple[int, ...], den: int) -> "CycElt":
+        """The element with these three slots, unchecked: num/den must already
+        be canonical.  Every element but those of `__init__` is built here."""
         self = object.__new__(cls)
         setter = object.__setattr__
         setter(self, "modulus", n)
@@ -199,8 +208,14 @@ class CycElt(Frozen):
     def from_K(p: int, q: int, den: int = 1) -> "CycElt":
         """(p + q*lambda) / den in Q(zeta_7) for integers p, q and den > 0:
         lambda = zeta + zeta^2 + zeta^4 has no zeta^6 term, so the power-basis
-        numerators are (p, q, q, 0, q, 0) with nothing to fold."""
-        return CycElt._make(7, (p, q, q, 0, q, 0), den)
+        numerators are (p, q, q, 0, q, 0) with nothing to fold.  Their gcd
+        with den is gcd(den, p, q), so the three integers are divided by that."""
+        if den <= 0:
+            raise ValueError(f"the denominator den must be positive, got {den}")
+        g = gcd(den, p, q)
+        if g != 1:
+            p, q, den = p // g, q // g, den // g
+        return CycElt._set(7, (p, q, q, 0, q, 0), den)
 
     @staticmethod
     def zero(n: int) -> "CycElt":

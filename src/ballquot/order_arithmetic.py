@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from . import Frozen, _require_int, factor_int as _factor_int, matrix3 as m3
 from .cyclotomic import CycElt, euler_phi, lam, lam_bar
-from .cyclic_algebra import AlgElt, b_element
+from .cyclic_algebra import AlgElt, _invariant_inverse, b_element
 
 
 class BasisNotIntegral(ValueError):
@@ -122,7 +122,7 @@ class OrderBasis(Frozen):
 
         Stable under iota_b for the default b (see the module docstring)."""
         b = b_element()
-        b_inv = b.inverse()
+        b_inv = _invariant_inverse(b)  # the b^-1 that iota_b uses: one inverse per process
         return OrderBasis(tuple(b_inv * e * b for e in OrderBasis.standard().elements))
 
     @cached_property

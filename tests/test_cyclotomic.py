@@ -168,6 +168,19 @@ def test_from_K_is_p_plus_q_lambda_over_den():
     assert CycElt.from_K(4, -2, 6).num == (2, -1, -1, 0, -1, 0)  # canonical: over 3
 
 
+@pytest.mark.parametrize("den", [0, -1, -2])
+@pytest.mark.parametrize("build", [
+    lambda den: CycElt.from_K(1, 1, den),
+    lambda den: CycElt.from_numerators(7, (1, 0, 0, 0, 0, 0), den),
+    lambda den: CycElt.from_group_ring(7, [1, 0, 0, 0, 0, 0, 0], den),
+], ids=["from_K", "from_numerators", "from_group_ring"])
+def test_a_denominator_below_one_is_a_value_error(build, den):
+    """den > 0 is the canonical form that `==` and `hash` compare: a builder
+    given den <= 0 would make -1/2 unequal to -1/2, or 1/0."""
+    with pytest.raises(ValueError, match=f"denominator den must be positive, got {den}"):
+        build(den)
+
+
 @pytest.mark.parametrize("n", [0, -5])
 def test_a_modulus_below_one_is_a_value_error(n):
     builders = [lambda: CycElt(n, ()), lambda: CycElt.zero(n), lambda: CycElt.one(n),

@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
+from ballquot import cyclic_algebra as ca
 from ballquot import cyclotomic
 from ballquot import lfunctions as lf
 from ballquot import matrix3 as m3
@@ -177,8 +178,22 @@ def test_the_algebra_kernel_makes_no_field_product_or_galois_map(monkeypatch):
     assert (x * y, x.product_x0(y), x.iota()) == expected
 
 
+def test_a_dense_product_makes_one_kernel_call_per_component_and_two_for_alpha(monkeypatch):
+    """One `convolve` call per nonzero x_i, through a table that reads both
+    sigma^-i and the u-degree, plus the two of the wrap u^3 = alpha."""
+    x, y = oa.OrderBasis.iota_b_stable().elements[4:6]
+    assert all(z.x0 and z.x1 and z.x2 for z in (x, y))
+    calls, convolve = [], ca.convolve
+    monkeypatch.setattr(ca, "convolve", lambda *args: calls.append(1) or convolve(*args))
+    x * y
+    assert len(calls) <= 5
+    calls.clear()
+    x.product_x0(y)
+    assert len(calls) <= 4
+
+
 def test_no_module_but_cyclotomic_knows_the_layout_of_a_field_element():
-    """Outside `cyclotomic`, no module calls `._make`, imports an underscored
+    """Outside `cyclotomic`, no module calls `._make` or `._set`, imports an underscored
     name from `cyclotomic`, or reads one as `cyclotomic._name`."""
     seen = []
     for path in sorted(Path(cyclotomic.__file__).parent.glob("*.py")):
@@ -186,7 +201,7 @@ def test_no_module_but_cyclotomic_knows_the_layout_of_a_field_element():
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Attribute) and (
-                    node.attr == "_make" or (node.attr.startswith("_")
+                    node.attr in ("_make", "_set") or (node.attr.startswith("_")
                                              and isinstance(node.value, ast.Name)
                                              and node.value.id == "cyclotomic")):
                 seen.append(f"{path.name}:{node.lineno} .{node.attr}")

@@ -136,8 +136,8 @@ def test_importing_the_algebra_and_the_report_makes_no_element_and_no_kernel_cal
                    "        calls.append(name)\n"
                    "        return f(*args, **kwargs)\n"
                    "    return wrapped\n"
-                   # between them, the two constructors build every element
-                   "cy.CycElt._make = classmethod(spy('CycElt', cy.CycElt._make.__func__))\n"
+                   # between them, the slot setter and `__init__` build every element
+                   "cy.CycElt._set = classmethod(spy('CycElt', cy.CycElt._set.__func__))\n"
                    "cy.CycElt.__init__ = spy('CycElt', cy.CycElt.__init__)\n"
                    "cy.convolve = spy('convolve', cy.convolve)\n"
                    "cy.fold = spy('fold', cy.fold)\n"
@@ -146,6 +146,21 @@ def test_importing_the_algebra_and_the_report_makes_no_element_and_no_kernel_cal
                    "        if isinstance(o, (cy.CycElt, cyclic_algebra.AlgElt))]\n"
                    "print(calls, kept)\n")
     assert out.splitlines()[-1] == "[] []"
+
+
+def test_a_cold_process_inverts_b_once_for_the_stable_order_and_iota_b():
+    """`iota_b_stable` and `iota_b` share the one cached, iota-checked b^-1."""
+    out = run_cold("from ballquot.cyclic_algebra import AlgElt, b_element\n"
+                   "from ballquot.order_arithmetic import OrderBasis\n"
+                   "calls, inverse = [], AlgElt.inverse\n"
+                   "def spy(x):\n"
+                   "    calls.append(x)\n"
+                   "    return inverse(x)\n"
+                   "AlgElt.inverse = spy\n"
+                   "x = OrderBasis.iota_b_stable().elements[4]\n"
+                   "x.iota_b(b_element())\n"
+                   "print(calls == [b_element()])\n")
+    assert out.splitlines()[-1] == "True"
 
 
 def test_the_order_layers_load_no_input_layer():

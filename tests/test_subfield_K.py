@@ -82,12 +82,15 @@ def test_K_coordinates_are_the_galois_coordinates(a):
 
 
 @CASES
-@given(ints, ints, dens)
-def test_from_K_is_the_canonical_element(p, q, den):
-    a = CycElt.from_K(p, q, den)
-    generic = CycElt(7, [Fraction(v, den) for v in (p, q, q, 0, q, 0)])
+@given(ints, ints, dens, st.integers(1, 30))
+def test_from_K_is_the_canonical_element(p, q, den, k):
+    """With a factor k shared by p, q and den: from_K's gcd(den, p, q) is the
+    gcd of den and all six numerators."""
+    a = CycElt.from_K(k * p, k * q, k * den)
+    generic = CycElt(7, [Fraction(k * v, k * den) for v in (p, q, q, 0, q, 0)])
     assert (a.num, a.den) == (generic.num, generic.den)
     assert a == generic and hash(a) == hash(generic)
+    assert a.den > 0 and gcd(a.den, *a.num) == 1
 
 
 def test_lambda_lambda_bar_and_alpha_are_their_galois_definitions():
