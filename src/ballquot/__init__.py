@@ -1,16 +1,10 @@
 """Exact-arithmetic toolkit for a family of arithmetic ball-quotient surfaces."""
 
-import os
+from fractions import Fraction
 from math import gcd
 from operator import attrgetter
 
 __version__ = "1.0.0"
-
-
-def read_data(name: str) -> str:
-    """The text of the package data file `data/<name>`."""
-    with open(os.path.join(os.path.dirname(__file__), "data", name), encoding="utf-8") as f:
-        return f.read()
 
 
 def factor_int(n: int) -> dict[int, int]:
@@ -32,6 +26,14 @@ def _require_int(value, what: str) -> None:
     """Refuse anything but an int (a bool or a float included), naming its type."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{what} must be an int, not {type(value).__name__}")
+
+
+def exact(c) -> Fraction:
+    """c as a Fraction, refusing anything but an int or a Fraction (a bool or
+    a float included), so no input switches the arithmetic to floats."""
+    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+        raise TypeError(f"exact values must be int or Fraction, not {type(c).__name__}")
+    return Fraction(c)
 
 
 def _lowest_terms(num, den: int) -> tuple[tuple[int, ...], int]:

@@ -14,7 +14,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import Frozen, _require_int
+from . import Frozen, _require_int, exact
 
 
 class Ambiguous(ValueError):
@@ -36,7 +36,7 @@ def ball_quotient_invariants(c2: Fraction, q_irr: Fraction,
                              plurigenera: dict[int, int] | None = None) -> SurfaceInvariants:
     """Invariants of a smooth compact 2-ball quotient: its signature is c2/3,
     so c1^2 = 3 c2 and chi = c2/3 (`invariants_from_resolution`)."""
-    c2 = Fraction(c2)
+    c2 = exact(c2)
     if c2 <= 0:
         raise ValueError("a smooth compact ball quotient has c2 > 0")
     return invariants_from_resolution(c2, c2 / 3, q_irr, plurigenera, minimal=True)
@@ -48,11 +48,11 @@ def invariants_from_resolution(c2: Fraction, signature: Fraction,
                                minimal: bool = False) -> SurfaceInvariants:
     """Invariants of a resolved quotient from its Euler number and signature,
     using the signature identity c1^2 = 3 sign + 2 c2 and Noether."""
-    c2 = Fraction(c2)
-    sign = Fraction(signature)
+    c2 = exact(c2)
+    sign = exact(signature)
     c1_sq = 3 * sign + 2 * c2
     chi = (c1_sq + c2) / 12
-    q = Fraction(q_irr)
+    q = exact(q_irr)
     return SurfaceInvariants(
         c2=c2, c1_sq=c1_sq, q_irr=q, p_g=chi - 1 + q, chi=chi,
         signature=sign, plurigenera=dict(plurigenera or {}), minimal=minimal)
@@ -128,11 +128,36 @@ class KodairaFiber(Frozen):
         return int(self.kind[2:])
 
 
-def fibration_euler_check(fibers: list[KodairaFiber], c2: Fraction) -> bool:
-    return sum(f.euler() for f in fibers) == Fraction(c2)
+# The fibers of the elliptic fibration on the minimal resolution of each
+# quotient, keyed by group like singularities.QUOTIENTS (Keum, Topology 45,
+# 2006).  E_i_j is curve j of the chain of point i, as
+# `fiber_component_accounting` reads it; D_ and Dp_ name the other curves.
+FIBRATIONS = {
+    "gamma": (
+        KodairaFiber("I_9", 1, ("E_1_2", "E_1_3", "E_2_2", "E_2_3", "E_3_2", "E_3_3",
+                                "D_1_0", "D_2_0", "D_3_0")),
+        KodairaFiber("I_1", 1, ("Dp_1",)),
+        KodairaFiber("I_1", 1, ("Dp_2",)),
+        KodairaFiber("I_1", 1, ("Dp_3",)),
+        KodairaFiber("smooth", 2),
+        KodairaFiber("smooth", 3),
+    ),
+    "gamma_tilde": (
+        KodairaFiber("I_3", 1, ("E_1_2", "E_1_3", "D_0")),
+        KodairaFiber("I_3", 1, ("E_2_1", "E_2_2", "D_1")),
+        KodairaFiber("I_3", 1, ("E_3_1", "E_3_2", "D_2")),
+        KodairaFiber("I_3", 1, ("E_4_1", "E_4_2", "D_3")),
+        KodairaFiber("smooth", 2),
+        KodairaFiber("smooth", 3),
+    ),
+}
 
 
-def fiber_component_accounting(fibers: list[KodairaFiber],
+def fibration_euler_check(fibers: tuple[KodairaFiber, ...], c2: Fraction) -> bool:
+    return sum(f.euler() for f in fibers) == exact(c2)
+
+
+def fiber_component_accounting(fibers: tuple[KodairaFiber, ...],
                                chains: list[tuple[int, ...]]) -> bool:
     """The E_-named fiber components are the (-2)-curves of the chains, each in
     exactly one fiber, with E_i_j curve j of the chain of point i (from 1), and

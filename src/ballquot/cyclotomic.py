@@ -24,8 +24,8 @@ the same kernel and the same fold: its product makes one call per
 component x_i, through a table whose slots hold both sigma^-i and the
 u-degree, of which `index_map(7, k)` is the 7-slot case.  An inverse is
 c/(a*c) for c the product of the other phi(N) - 1 Galois conjugates, a*c
-being the rational norm; that suffices, as a process makes one or two,
-each of the rational nrd(b) = 3.  The sign of a real element is exact:
+being the rational norm; that suffices, as a process makes one, of the
+rational nrd(b) = 3.  The sign of a real element is exact:
 `interval` encloses its value between two `Fraction`s, from cosine series
 in scaled integers and `symreal.pi_interval`.
 
@@ -51,8 +51,8 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from math import gcd, lcm
 
-from . import Frozen, _lowest_terms
-from .symreal import Interval, exact, pi_interval
+from . import Frozen, _lowest_terms, exact
+from .symreal import Interval, pi_interval
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -276,7 +276,7 @@ class CycElt(Frozen):
         """Field inverse by the definition: c, the product of the other
         phi(N) - 1 Galois conjugates sigma_k(a), k != 1 a unit mod N, makes
         a*c the rational norm, so a^-1 = c / (a*c).  That suffices: a process
-        inverts once or twice, only nrd(b) = 3 behind b^-1."""
+        inverts once, only nrd(b) = 3 behind b^-1."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         n, c = self.modulus, CycElt.one(self.modulus)

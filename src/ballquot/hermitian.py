@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 from . import Frozen, matrix3 as m3
 from .cyclotomic import CycElt, zeta7
-from .cyclic_algebra import AlgElt, NotIotaInvariant, b_element
+from .cyclic_algebra import AlgElt, b_element
 
 
 class NotHermitian(ValueError):
@@ -33,9 +33,9 @@ class HermMatrix(Frozen):
 
     @staticmethod
     def from_alg_elt(b: AlgElt) -> "HermMatrix":
-        """Matrix of an iota-invariant algebra element under the embedding."""
-        if b.iota() != b:
-            raise NotIotaInvariant("element is not iota-invariant")
+        """Matrix of an algebra element under the embedding.  The embedding is
+        injective and sends iota to the conjugate transpose, so this raises
+        `NotHermitian` exactly when b is not iota-invariant."""
         return HermMatrix(b.to_matrix())
 
     def signature(self) -> Signature:

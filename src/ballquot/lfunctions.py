@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import chain, repeat
 from operator import truediv
 
-from . import Frozen, _require_int, factor_int
+from . import Frozen, _require_int, exact, factor_int
 from .symreal import SymbolicReal, NotRational
 
 
@@ -185,6 +185,7 @@ def covolume(zeta_2: SymbolicReal, l_value: SymbolicReal,
 
 def euler_number_of_cover(covol: Fraction, index: int) -> Fraction:
     """Euler number of a degree-`index` cover: index times the covolume."""
+    _require_int(index, "the index")
     if index < 1:
         raise ValueError("index must be >= 1")
-    return Fraction(covol) * index
+    return exact(covol) * index

@@ -319,6 +319,8 @@ def congruence_index(residue_field_size: int, algebra_degree: int) -> int:
 def torsion_free_check(ideal_norm: int, torsion_order: int) -> bool:
     """True when the congruence subgroup mod an ideal of this norm kills
     the torsion: the norm must not divide Phi_p(1) = p for prime order p."""
+    _require_int(ideal_norm, "the ideal norm")
+    _require_int(torsion_order, "the torsion order")
     if ideal_norm < 2:
         raise ValueError("ideal norm must be >= 2")
     # N(eta - 1) for eta a primitive p-th root of unity is Phi_p(1) = p

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from . import __version__, read_data
+from . import __version__
 from . import cyclic_algebra as ca
 from . import hermitian
 from . import matrix3 as m3
@@ -227,7 +227,7 @@ def run_all(config_path: str | None = None) -> VerificationReport:
     r.add("cover_multiplicativity", "height multiplicativity for degrees 7, 3, 21",
           True, sg.check_cover_multiplicativity(Fraction(3), Fraction(1), xg, 7)
           and sg.check_cover_multiplicativity(Fraction(3), Fraction(1), xgt, 21))
-    # keyed by group, like fibrations.json: e(Y) of each resolution is what its fibers sum to
+    # keyed by group, like cl.FIBRATIONS: e(Y) of each resolution is what its fibers sum to
     resolved = {label: sg.resolve_invariants(x) for label, x in sg.QUOTIENTS.items()}
     r.add("resolution_quotient", "resolved invariants of the order-7 quotient",
           (Fraction(12), Fraction(-8), 9), resolved["gamma"])
@@ -265,7 +265,7 @@ def run_all(config_path: str | None = None) -> VerificationReport:
           True, cl.is_fake_projective_plane(fp, cl.kodaira_classify(fp)[0]))
 
     # P_2 = P_3 = 1 on each resolved quotient Y: the canonical bundle formula with
-    # chi(O_Y) = 1 and multiple fibers of multiplicities 2 and 3 (fibrations.json).
+    # chi(O_Y) = 1 and multiple fibers of multiplicities 2 and 3 (cl.FIBRATIONS).
     # Invariants that leave two Kodaira dimensions standing are a mismatch.
     def kodaira_of_resolution(label: str) -> int | str:
         y = cl.invariants_from_resolution(*resolved[label][:2], Fraction(0),
@@ -277,10 +277,7 @@ def run_all(config_path: str | None = None) -> VerificationReport:
     r.add("kodaira_resolution_normalizer", "Kodaira dimension of the resolved normalizer quotient",
           1, kodaira_of_resolution("gamma_tilde"))
 
-    fib_raw = json.loads(read_data("fibrations.json"))
-    for label, data in sorted(fib_raw.items()):
-        fibers = [cl.KodairaFiber(f["kind"], f["multiplicity"], tuple(f["components"]))
-                  for f in data["fibers"]]
+    for label, fibers in sorted(cl.FIBRATIONS.items()):
         r.add(f"fibration_euler_{label}", f"fiber Euler numbers sum to the Euler number ({label})",
               True, cl.fibration_euler_check(fibers, resolved[label][0]))
         chains = [sg.hj_expand(p).self_intersections for p in sg.QUOTIENTS[label].points]

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
-from . import Frozen, _require_int
+from . import Frozen, _require_int, exact
 
 
 class NotPrimitive(ValueError):
@@ -58,7 +58,7 @@ class OrbifoldSurface(NamedTuple):
     points: tuple[CyclicSingularity, ...]
 
 
-# keyed by group, like fibrations.json
+# keyed by group, like classifier.FIBRATIONS
 QUOTIENTS = {
     "gamma": OrbifoldSurface(Fraction(3), Fraction(1), (CyclicSingularity(7, 3),) * 3),
     "gamma_tilde": OrbifoldSurface(Fraction(3), Fraction(1),
@@ -112,22 +112,21 @@ def signature_defect(s: CyclicSingularity) -> Fraction:
 
 
 def euler_height(x: OrbifoldSurface) -> Fraction:
-    return Fraction(x.euler) - sum((1 - Fraction(1, p.n) for p in x.points),
-                                   Fraction(0))
+    return exact(x.euler) - sum((1 - Fraction(1, p.n) for p in x.points), Fraction(0))
 
 
 def signature_height(x: OrbifoldSurface) -> Fraction:
-    return Fraction(x.signature) - sum((signature_defect(p) for p in x.points),
-                                       Fraction(0))
+    return exact(x.signature) - sum((signature_defect(p) for p in x.points), Fraction(0))
 
 
 def check_cover_multiplicativity(y_euler: Fraction, y_sign: Fraction,
                                  x: OrbifoldSurface, degree: int) -> bool:
     """Euler and signature of a smooth finite cover against heights times degree."""
+    y_euler, y_sign = exact(y_euler), exact(y_sign)
+    _require_int(degree, "degree")
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    return (Fraction(y_euler) == degree * euler_height(x)
-            and Fraction(y_sign) == degree * signature_height(x))
+    return y_euler == degree * euler_height(x) and y_sign == degree * signature_height(x)
 
 
 def resolve_invariants(x: OrbifoldSurface) -> tuple[Fraction, Fraction, int]:
@@ -135,7 +134,7 @@ def resolve_invariants(x: OrbifoldSurface) -> tuple[Fraction, Fraction, int]:
     resolution chain bumps the Euler number by one and drops the signature
     by one (the chains are negative definite).  Chains are counted, not built."""
     blowups = sum(count for p in x.points for _, count in _hj_runs(p.n, p.q))
-    return (Fraction(x.euler) + blowups, Fraction(x.signature) - blowups, blowups)
+    return (exact(x.euler) + blowups, exact(x.signature) - blowups, blowups)
 
 
 def solve_branch_data(total_euler: Fraction, total_sign: Fraction,
@@ -157,10 +156,9 @@ def solve_branch_data(total_euler: Fraction, total_sign: Fraction,
     """
     if d_max < 2:
         raise ValueError("d_max must be >= 2")
-    base = OrbifoldSurface(Fraction(total_euler), Fraction(total_sign),
-                           tuple(known_points))
-    e_budget = euler_height(base) - Fraction(target_euler_height)
-    s_budget = signature_height(base) - Fraction(target_sign_height)
+    base = OrbifoldSurface(exact(total_euler), exact(total_sign), tuple(known_points))
+    e_budget = euler_height(base) - exact(target_euler_height)
+    s_budget = signature_height(base) - exact(target_sign_height)
     if e_budget < 0:
         return []
     defect = cache(signature_defect)

@@ -17,19 +17,11 @@ from functools import cache
 from math import isqrt
 from typing import NamedTuple
 
-from . import Frozen
+from . import Frozen, exact
 
 
 class NotRational(ValueError):
     """Raised when a SymbolicReal is forced to a rational but carries pi or sqrt(7)."""
-
-
-def exact(c) -> Fraction:
-    """c as a Fraction, refusing anything but an int or a Fraction (a bool or
-    a float included), so no input switches the arithmetic to floats."""
-    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
-        raise TypeError(f"exact values must be int or Fraction, not {type(c).__name__}")
-    return Fraction(c)
 
 
 class Interval(NamedTuple):

@@ -193,14 +193,8 @@ def test_criterion_10_surface_classification():
 
 
 def test_criterion_11_elliptic_fibrations():
-    import json
-    from importlib import resources
-    raw = json.loads(resources.files("ballquot.data")
-                     .joinpath("fibrations.json").read_text())
     results = {}
-    for label, data in sorted(raw.items()):
-        fibers = [cl.KodairaFiber(f["kind"], f["multiplicity"],
-                                  tuple(f["components"])) for f in data["fibers"]]
+    for label, fibers in sorted(cl.FIBRATIONS.items()):
         x = sg.QUOTIENTS[label]
         results[label] = (
             cl.fibration_euler_check(fibers, sg.resolve_invariants(x)[0]),

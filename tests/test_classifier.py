@@ -94,3 +94,23 @@ def test_fiber_component_accounting():
     # an I_n fiber with other than n components is rejected
     assert not cl.fiber_component_accounting(
         [cl.KodairaFiber("I_2", 1, ("E_1_2", "E_1_3", "D_0"))], chains)
+
+
+def test_the_fibrations_are_those_of_the_quotients():
+    from ballquot import singularities as sg
+    assert set(cl.FIBRATIONS) == set(sg.QUOTIENTS)
+
+
+@pytest.mark.parametrize("bad", [0.1, "3", True], ids=["float", "str", "bool"])
+def test_an_invariant_that_is_not_exact_is_a_type_error(bad):
+    calls = [
+        lambda: cl.ball_quotient_invariants(bad, Fraction(0), {2: 1, 3: 1}),
+        lambda: cl.ball_quotient_invariants(Fraction(3), bad),
+        lambda: cl.invariants_from_resolution(bad, Fraction(-8), Fraction(0)),
+        lambda: cl.invariants_from_resolution(Fraction(12), bad, Fraction(0)),
+        lambda: cl.invariants_from_resolution(Fraction(12), Fraction(-8), bad),
+        lambda: cl.fibration_euler_check(cl.FIBRATIONS["gamma"], bad),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match=f"not {type(bad).__name__}$"):
+            call()

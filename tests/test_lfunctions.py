@@ -197,3 +197,11 @@ def test_covolume_doubles_with_a_local_factor():
 def test_euler_number_of_cover():
     assert lf.euler_number_of_cover(Fraction(3, 7), 7) == 3
     assert lf.euler_number_of_cover(Fraction(1, 7), 7) == 1
+
+
+@pytest.mark.parametrize("bad", [0.1, "3", True], ids=["float", "str", "bool"])
+def test_a_cover_of_inexact_covolume_or_non_int_index_is_a_type_error(bad):
+    with pytest.raises(TypeError, match=f"not {type(bad).__name__}$"):
+        lf.euler_number_of_cover(bad, 7)
+    with pytest.raises(TypeError, match=f"must be an int, not {type(bad).__name__}$"):
+        lf.euler_number_of_cover(Fraction(3, 7), bad)

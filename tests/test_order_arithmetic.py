@@ -244,3 +244,11 @@ def test_every_torsion_candidate_is_allowed_or_excluded_with_a_reason():
 def test_torsion_free_check():
     assert oa.torsion_free_check(2, 7) is True
     assert oa.torsion_free_check(7, 7) is False
+
+
+@pytest.mark.parametrize("bad", [0.1, "3", True], ids=["float", "str", "bool"])
+def test_torsion_free_check_refuses_a_non_int(bad):
+    with pytest.raises(TypeError, match=f"must be an int, not {type(bad).__name__}$"):
+        oa.torsion_free_check(bad, 7)
+    with pytest.raises(TypeError, match=f"must be an int, not {type(bad).__name__}$"):
+        oa.torsion_free_check(2, bad)

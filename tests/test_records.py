@@ -159,8 +159,9 @@ def test_a_subclass_of_a_validated_record_runs_its_own_check():
     (lambda: sg.CyclicSingularity(7, True), TypeError, "q must be an int, not bool"),
     (lambda: sg.CyclicSingularity(7.0, 3), TypeError, "n must be an int, not float"),
     (lambda: sg.CyclicSingularity(7, Fraction(3)), TypeError, "q must be an int, not Fraction"),
-    (lambda: hm.HermMatrix(ca.AlgElt.u().to_matrix()), hm.NotHermitian,
-     "matrix does not equal its conjugate transpose"),
+    *((build, hm.NotHermitian, "matrix does not equal its conjugate transpose")
+      for build in (lambda: hm.HermMatrix(ca.AlgElt.u().to_matrix()),
+                    lambda: hm.HermMatrix.from_alg_elt(ca.AlgElt.u()))),
 ])
 def test_validated_records_raise_as_before(build, error, message):
     with pytest.raises(error) as info:

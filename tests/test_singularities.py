@@ -141,3 +141,23 @@ def test_the_solved_branch_data_complete_the_normalizer_quotients_points():
 def test_runs_of_twos_expand_to_the_whole_chain():
     assert sg.hj_expand(sg.CyclicSingularity(100001, 100000)).self_intersections == (-2,) * 100000
     assert sg.hj_expand(sg.CyclicSingularity(11, 9)).self_intersections == (-2, -2, -2, -2, -3)
+
+
+@pytest.mark.parametrize("bad", [0.1, "3", True], ids=["float", "str", "bool"])
+def test_a_height_or_resolution_input_that_is_not_exact_is_a_type_error(bad):
+    x = sg.QUOTIENTS["gamma"]
+    branch_args = (Fraction(3), Fraction(1), [], Fraction(1, 7), Fraction(1, 21), 12)
+    calls = [
+        lambda: sg.euler_height(x._replace(euler=bad)),
+        lambda: sg.signature_height(x._replace(signature=bad)),
+        lambda: sg.resolve_invariants(x._replace(euler=bad)),
+        lambda: sg.resolve_invariants(x._replace(signature=bad)),
+        lambda: sg.check_cover_multiplicativity(bad, Fraction(1), x, 7),
+        lambda: sg.check_cover_multiplicativity(Fraction(4), bad, x, 7),
+        lambda: sg.check_cover_multiplicativity(Fraction(3), Fraction(1), x, bad),
+        *(lambda k=k: sg.solve_branch_data(*branch_args[:k], bad, *branch_args[k + 1:])
+          for k in (0, 1, 3, 4)),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match=f"not {type(bad).__name__}$"):
+            call()

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -88,12 +87,12 @@ def test_the_cli_groups_are_the_quotients_of_singularities():
 
 
 @pytest.mark.parametrize("argv, opens", [
-    (["report"], ["fibrations.json"]),
+    (["report"], []),
     (["dims", "--group", "gamma_tilde", "--weight", "3"], []),
 ], ids=["report", "dims"])
 def test_a_cold_run_opens_no_class_table(argv, opens):
-    """The class data is built from the singular points: of the package's JSON
-    files, only the report's fibrations are read."""
+    """The class data is built from the singular points and the fibers are
+    `classifier.FIBRATIONS`: no run reads a package JSON file."""
     out = run_cold("import contextlib, io, os, sys\n"
                    "opened = []\n"
                    "def hook(event, args):\n"
@@ -243,10 +242,3 @@ def test_the_timestamp_still_comes_with_the_report():
     doc = json.loads(out)
     assert doc["generated_at"].endswith("+00:00")
     assert doc["report"]["metadata"]["entry_count"] == len(doc["report"]["entries"])
-
-
-@pytest.mark.parametrize("name", ["classes_gamma.json", "classes_gamma_tilde.json",
-                                  "fibrations.json"])
-def test_data_files_read_the_same_by_path_and_by_resources(name):
-    by_resources = resources.files("ballquot.data").joinpath(name).read_text()
-    assert ballquot.read_data(name) == by_resources
